@@ -102,7 +102,9 @@ BM_AnalyzeParallel(benchmark::State& state)
     const trace::TraceData& data = bigTrace();
     ta::WorkerPool pool(static_cast<unsigned>(state.range(0)));
     for (auto _ : state) {
-        const ta::Analysis a = ta::analyzeParallel(data, pool);
+        ta::Analysis a{ta::buildModelParallel(data, pool), {}, {}};
+        a.intervals = ta::buildIntervalsParallel(a.model, pool);
+        a.stats = ta::buildStatsParallel(a.model, a.intervals, pool);
         benchmark::DoNotOptimize(a.stats.total_records);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -364,12 +364,14 @@ makeWorkQueue(rt::CellSystem& sys)
 // per-record cost dominates the syscall noise.
 //
 // v1_read_ms is a full readFile() of the v1 file. v3_decode_ms is the
-// streaming BlockReader decode of every block from the v3 file — the
-// path the analyzer pipelines (scan, query, shard readers) actually
-// consume, which hands back records in a cache-resident block buffer
-// instead of materializing a whole-trace vector. v3_file_read_ms
-// reports the full readFile() materialization for reference. The CI
-// bench gate pins v3_decode_ms <= v1_read_ms per workload.
+// streaming BlockReader decode of every block from the v3 file, which
+// hands back records in a cache-resident block buffer instead of
+// materializing a whole-trace vector. No `ta` command reads through
+// BlockReader: the analyzer takes v3 records from readFile() (serial),
+// readShardInto() (sharded parallel ingest) and per-block
+// decodeBlockBody() calls (windowed queries). v3_file_read_ms, the
+// full readFile() materialization, is what a serial `ta summary` pays.
+// The CI bench gate pins v3_decode_ms <= v1_read_ms per workload.
 
 constexpr int kDecodeReps = 5;
 constexpr std::size_t kDecodeTargetRecords = 1u << 20;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Local mirror of .github/workflows/ci.yml: build + test the three
-# CMake presets, replay the fuzz corpus, and check the golden digests.
+# CMake presets, replay the fuzz corpus, check the golden digests, and
+# smoke-run bench/e2e.
 # Run from anywhere; everything lands in the preset build dirs
 # (build/, build-asan/, build-tsan/ — all gitignored).
 #
@@ -87,6 +88,10 @@ case " ${presets[*]-} " in *" default "*)
     [ "$(grep -c 'first divergence' build/gen-sweep/diff_t1.txt)" -eq "$n" ]
     echo "==> golden digest check"
     build/tools/ta_golden check tests/ta/golden
+    echo "==> bench/e2e smoke (Release build into build-e2e)"
+    # The only check that bench/e2e still compiles against the
+    # analyzer's internal APIs; every op's output is verified too.
+    python3 bench/e2e/run.py --smoke > build/e2e-smoke.json
     echo "==> serve soak (short local run; CI does 60s x 16)"
     scripts/serve-soak.sh "${SOAK_SECONDS:-10}" "${SOAK_CLIENTS:-4}"
     ;;

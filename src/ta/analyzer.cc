@@ -5,33 +5,106 @@
 
 #include "ta/analyzer.h"
 
+#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 
+#include "ta/parallel.h"
 #include "trace/reader.h"
+#include "trace/shard.h"
 
 namespace cell::ta {
 
-Analysis
-analyze(const trace::TraceData& trace, bool lenient)
+namespace {
+
+unsigned
+resolveThreads(unsigned threads)
 {
-    Analysis a{TraceModel::build(trace, lenient), {}, {}};
-    a.intervals = IntervalSet::build(a.model);
-    a.stats = TraceStats::build(a.model, a.intervals);
+    return threads != 0 ? threads
+                        : std::max(1u, std::thread::hardware_concurrency());
+}
+
+/** The parallel pipeline on @p pool: model, intervals, statistics. */
+Analysis
+analyzeOn(const trace::TraceData& trace, WorkerPool& pool, bool lenient,
+          const CancelToken* cancel)
+{
+    Analysis a{buildModelParallel(trace, pool, lenient, 0, cancel), {}, {}};
+    a.intervals = buildIntervalsParallel(a.model, pool, cancel);
+    a.stats = buildStatsParallel(a.model, a.intervals, pool, cancel);
     return a;
 }
 
+} // namespace
+
 Analysis
-analyzeFile(const std::string& path)
+analyze(const trace::TraceData& trace, const AnalyzeOptions& opt)
 {
-    return analyze(trace::readFile(path));
+    const unsigned threads = resolveThreads(opt.threads);
+    if (threads <= 1 && !opt.cancel) {
+        Analysis a{TraceModel::build(trace, opt.salvage), {}, {}};
+        a.intervals = IntervalSet::build(a.model);
+        a.stats = TraceStats::build(a.model, a.intervals);
+        return a;
+    }
+    // With a cancel token, even one thread runs the (output-identical)
+    // pipeline so the per-shard checkpoints can abort it.
+    WorkerPool pool(threads);
+    return analyzeOn(trace, pool, opt.salvage, opt.cancel);
 }
 
 Analysis
-analyzeFileSalvage(const std::string& path, trace::ReadReport& report)
+analyzeFile(const std::string& path, const AnalyzeOptions& opt)
 {
-    return analyze(trace::readFileSalvage(path, report), /*lenient=*/true);
+    if (opt.salvage) {
+        // Salvage resync is inherently sequential (it must walk the
+        // damage to find the stride again), so the read stays serial.
+        // The token is polled before the read, then per shard.
+        if (opt.cancel)
+            opt.cancel->checkpoint("analyzeFile/salvage-read");
+        trace::ReadReport local;
+        return analyze(
+            trace::readFileSalvage(path, opt.report ? *opt.report : local),
+            opt);
+    }
+    const unsigned threads = resolveThreads(opt.threads);
+    if (threads <= 1 && !opt.cancel)
+        return analyze(trace::readFile(path));
+
+    trace::ShardOptions sopt;
+    sopt.target_shards = threads * 4;
+    const trace::ShardPlan plan = trace::planShardsFile(path, sopt);
+    trace::TraceData data;
+    data.header = plan.header;
+    data.spe_programs = plan.spe_programs;
+    data.records.resize(static_cast<std::size_t>(plan.record_count));
+
+    WorkerPool pool(threads);
+    pool.parallelFor(plan.shards.size(), [&](std::uint64_t s) {
+        if (opt.cancel)
+            opt.cancel->checkpoint("analyzeFile/ingest");
+        std::ifstream is(path, std::ios::binary);
+        if (!is)
+            throw std::runtime_error("analyzeFile: cannot open " + path);
+        trace::readShardInto(is, plan, static_cast<std::size_t>(s),
+                             data.records.data() +
+                                 plan.shards[s].first_record);
+    });
+    return analyzeOn(data, pool, /*lenient=*/false, opt.cancel);
+}
+
+std::string
+salvageDiagnostics(const trace::ReadReport& report)
+{
+    if (!report.salvaged)
+        return {};
+    std::string out = "ta: " + report.summary() + "\n";
+    for (const std::string& note : report.notes)
+        out += "ta:   " + note + "\n";
+    return out;
 }
 
 namespace {

@@ -11,6 +11,7 @@
 #include <iosfwd>
 #include <string>
 
+#include "ta/cancel.h"
 #include "ta/intervals.h"
 #include "ta/model.h"
 #include "ta/stats.h"
@@ -26,19 +27,55 @@ struct Analysis
     TraceStats stats;
 };
 
-/** Run model building, interval matching and statistics. @p lenient
- *  tolerates streams damaged by salvage (events whose sync record was
- *  lost are skipped, see TraceModel::leniencySkipped()). */
-Analysis analyze(const trace::TraceData& trace, bool lenient = false);
+/** How analyze() and analyzeFile() run. QueryOptions and
+ *  DiffFileOptions extend it, so every front end takes the same
+ *  fields. */
+struct AnalyzeOptions
+{
+    /** Worker threads; 0 = hardware concurrency. 1 (the default) is
+     *  the serial reference path, unless @p cancel is set. */
+    unsigned threads = 1;
+    /** The input may be damaged: analyzeFile() reads it with the
+     *  salvage reader, and both analyze the records leniently — those
+     *  that cannot be placed (sync lost, impossible core id) are
+     *  skipped and counted in TraceModel::leniencySkipped() instead of
+     *  failing the analysis. */
+    bool salvage = false;
+    /** Optional cooperative cancellation, polled at shard and core
+     *  boundaries; a tripped token aborts the analysis with
+     *  DeadlineExceeded. When set, threads == 1 runs the
+     *  (output-identical) parallel pipeline on an inline pool rather
+     *  than the serial path, so the checkpoints stay in play. */
+    const CancelToken* cancel = nullptr;
+    /** When salvage-reading, receives what the salvage reader had to
+     *  skip. */
+    trace::ReadReport* report = nullptr;
+};
 
-/** Load a trace file and analyze it. */
-Analysis analyzeFile(const std::string& path);
+/**
+ * Analyze an already-loaded trace: model building, interval matching
+ * and statistics. The output is identical at every thread count; with
+ * default options this is the serial reference every other path is
+ * tested against.
+ */
+Analysis analyze(const trace::TraceData& trace,
+                 const AnalyzeOptions& opt = {});
 
-/** Load a (possibly damaged) trace file in salvage mode and analyze
- *  the recovered subset leniently. @p report receives what salvage
- *  had to skip. */
-Analysis analyzeFileSalvage(const std::string& path,
-                            trace::ReadReport& report);
+/**
+ * Load a trace file and analyze it. Strict reads of a v1/v2/v3 file
+ * shard it (trace::planShardsFile) and ingest the shards on the
+ * analysis pool; a damaged or non-seekable file fails with a
+ * diagnostic. Salvage reads are serial (resync needs the whole
+ * stream); the recovered subset is then analyzed on the pool.
+ */
+Analysis analyzeFile(const std::string& path,
+                     const AnalyzeOptions& opt = {});
+
+/** The stderr lines `ta --salvage` prints for a salvage read: the
+ *  report's summary and each note, each line prefixed "ta: ". Empty
+ *  when the read found no damage. `ta serve` returns the same text as
+ *  its warning. */
+std::string salvageDiagnostics(const trace::ReadReport& report);
 
 /** One-paragraph overview: span, per-core record counts, utilization. */
 void printSummary(std::ostream& os, const Analysis& a);

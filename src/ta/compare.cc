@@ -18,7 +18,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "ta/parallel.h"
 #include "ta/query.h"
 
 namespace cell::ta {
@@ -448,10 +447,12 @@ diffFiles(const std::string& path_a, const std::string& path_b,
 {
     const auto loadSide = [&opt](const std::string& path, bool& salvaged,
                                  std::string& note) {
-        const ParallelOptions popt{opt.threads, 0, opt.cancel};
+        trace::ReadReport report;
+        AnalyzeOptions side = opt;
+        side.report = &report;
         const auto salvageLoad = [&] {
-            trace::ReadReport report;
-            Analysis a = analyzeFileSalvageParallel(path, report, popt);
+            side.salvage = true;
+            Analysis a = analyzeFile(path, side);
             salvaged = true;
             if (report.salvaged)
                 note = report.summary();
@@ -459,13 +460,13 @@ diffFiles(const std::string& path_a, const std::string& path_b,
         };
         if (opt.salvage)
             return salvageLoad();
-        if (!opt.auto_downgrade)
-            return analyzeFileParallel(path, popt);
         try {
-            return analyzeFileParallel(path, popt);
+            return analyzeFile(path, side);
         } catch (const DeadlineExceeded&) {
             throw;
         } catch (const std::exception& e) {
+            if (!opt.auto_downgrade)
+                throw;
             const std::string why = e.what();
             Analysis a = salvageLoad();
             note = note.empty() ? "downgraded to salvage: " + why

@@ -169,20 +169,17 @@ struct DiffResult
 DiffResult diffAnalyses(const Analysis& a, const Analysis& b,
                         const DiffOptions& opt = {});
 
-/** Knobs for diffFiles. */
-struct DiffFileOptions
+/** Knobs for diffFiles: the analysis fields as for analyzeFile, per
+ *  side (`salvage` salvage-reads both sides; `cancel` carries the
+ *  per-pair deadlines of `ta diff-corpus`), plus the diff's own.
+ *  `report` is not used: each side's salvage summary lands in
+ *  DiffFileOutcome::note_a / note_b. */
+struct DiffFileOptions : AnalyzeOptions
 {
     DiffOptions diff;
-    /** Analysis threads per side; 0 = hardware concurrency. */
-    unsigned threads = 0;
-    /** Salvage-read both sides unconditionally. */
-    bool salvage = false;
     /** Strict read failed -> retry that side in salvage mode (the
      *  serve path's degradation contract), noting what was lost. */
     bool auto_downgrade = false;
-    /** Optional cooperative cancellation (per-pair deadlines in
-     *  `ta diff-corpus`); trips as DeadlineExceeded. */
-    const CancelToken* cancel = nullptr;
 };
 
 /** diffFiles plus what degradation had to be applied per side. */

@@ -6,8 +6,6 @@
 #include "ta/intervals.h"
 
 #include <algorithm>
-#include <array>
-#include <optional>
 
 namespace cell::ta {
 
@@ -67,129 +65,163 @@ classifyOp(ApiOp op)
     }
 }
 
+// The phantom mask and pendableOpsMask() hold one bit per op.
+static_assert(rt::kNumApiOps <= 64);
+
+IntervalMatcher::IntervalMatcher(std::uint16_t core,
+                                 std::uint64_t phantom_ops, bool phantom_run)
+    : core_(core), phantom_ops_(phantom_ops), phantom_run_(phantom_run)
+{
+}
+
+void
+IntervalMatcher::feed(const Event& ev)
+{
+    final_epoch_ = ev.epoch;
+    if (ev.isToolRecord() || !ev.isKnownOp())
+        return;
+    const ApiOp op = ev.op();
+
+    if (op == ApiOp::SpuStart) {
+        run_start_ = ev;
+        have_run_start_ = true;
+        phantom_run_ = false;
+        return;
+    }
+    if (op == ApiOp::SpuStop) {
+        if (!have_run_start_ && phantom_run_) {
+            // The run started before the resume point.
+            phantom_run_ = false;
+            return;
+        }
+        Interval run;
+        run.cls = IntervalClass::Run;
+        run.op = ApiOp::SpuStart;
+        run.core = core_;
+        run.start_tb = have_run_start_ ? run_start_.time_tb : ev.time_tb;
+        run.end_tb = ev.time_tb;
+        run.a = ev.a; // exit code
+        run.truncated = !have_run_start_;
+        run.gap = have_run_start_ && run_start_.epoch != ev.epoch;
+        out_.push_back(run);
+        have_run_start_ = false;
+        return;
+    }
+
+    const auto idx = static_cast<std::size_t>(op);
+    const std::uint64_t bit = std::uint64_t{1} << idx;
+    if (ev.isBegin()) {
+        // Single-marker events (user events, decrementer ops) have no
+        // End; emit a zero-length interval directly.
+        const auto cls = classifyOp(op);
+        if (cls == IntervalClass::Other) {
+            Interval i;
+            i.cls = cls;
+            i.op = op;
+            i.core = core_;
+            i.start_tb = i.end_tb = ev.time_tb;
+            i.a = ev.a;
+            i.b = ev.b;
+            i.c = ev.c;
+            i.d = ev.d;
+            out_.push_back(i);
+        } else {
+            pending_[idx] = ev;
+            phantom_ops_ &= ~bit;
+        }
+        return;
+    }
+
+    Interval i;
+    i.cls = classifyOp(op);
+    i.op = op;
+    i.core = core_;
+    if (pending_[idx]) {
+        const Event& b = *pending_[idx];
+        i.start_tb = b.time_tb;
+        i.a = b.a;
+        i.b = b.b;
+        i.c = b.c;
+        i.d = b.d;
+        i.gap = b.epoch != ev.epoch;
+        pending_[idx].reset();
+    } else if (phantom_ops_ & bit) {
+        // The Begin lies before the resume point.
+        phantom_ops_ &= ~bit;
+        return;
+    } else {
+        // End without Begin (Begin filtered out?): degrade to a
+        // zero-length interval at the End time.
+        i.start_tb = ev.time_tb;
+        i.truncated = true;
+    }
+    i.end_tb = ev.time_tb;
+    i.end_b = ev.b;
+    out_.push_back(i);
+}
+
+void
+IntervalMatcher::finish(std::uint64_t last_time)
+{
+    for (const auto& p : pending_) {
+        if (!p)
+            continue;
+        Interval i;
+        i.cls = classifyOp(p->op());
+        i.op = p->op();
+        i.core = core_;
+        i.start_tb = p->time_tb;
+        i.end_tb = last_time;
+        i.a = p->a;
+        i.b = p->b;
+        i.c = p->c;
+        i.d = p->d;
+        i.truncated = true;
+        i.gap = p->epoch != final_epoch_;
+        out_.push_back(i);
+    }
+    if (have_run_start_) {
+        Interval run;
+        run.cls = IntervalClass::Run;
+        run.op = ApiOp::SpuStart;
+        run.core = core_;
+        run.start_tb = run_start_.time_tb;
+        run.end_tb = last_time;
+        run.truncated = true;
+        run.gap = run_start_.epoch != final_epoch_;
+        out_.push_back(run);
+    }
+}
+
+bool
+IntervalMatcher::pendingIn(std::uint64_t from, std::uint64_t to) const
+{
+    for (const auto& p : pending_) {
+        if (p && p->time_tb >= from && p->time_tb < to)
+            return true;
+    }
+    return have_run_start_ && run_start_.time_tb >= from &&
+           run_start_.time_tb < to;
+}
+
+std::vector<Interval>
+IntervalMatcher::take()
+{
+    std::stable_sort(out_.begin(), out_.end(),
+                     [](const Interval& x, const Interval& y) {
+                         return x.start_tb < y.start_tb;
+                     });
+    return std::move(out_);
+}
+
 std::vector<Interval>
 buildCoreIntervals(const CoreTimeline& tl)
 {
-    std::vector<Interval> dst;
-    {
-        // One pending Begin per op (runtime calls are sequential per
-        // core); plus the run interval from SpuStart.
-        std::array<std::optional<Event>, rt::kNumApiOps> pending;
-        Event run_start_ev{};
-        bool have_run_start = false;
-        // Epoch of the newest event seen (tool records included) —
-        // dangling intervals closed at trace end compare against it.
-        std::uint32_t final_epoch = 0;
-
-        for (const Event& ev : tl.events) {
-            final_epoch = ev.epoch;
-            if (ev.isToolRecord() || !ev.isKnownOp())
-                continue;
-            const ApiOp op = ev.op();
-
-            if (op == ApiOp::SpuStart) {
-                run_start_ev = ev;
-                have_run_start = true;
-                continue;
-            }
-            if (op == ApiOp::SpuStop) {
-                Interval run;
-                run.cls = IntervalClass::Run;
-                run.op = ApiOp::SpuStart;
-                run.core = tl.core;
-                run.start_tb = have_run_start ? run_start_ev.time_tb
-                                              : ev.time_tb;
-                run.end_tb = ev.time_tb;
-                run.a = ev.a; // exit code
-                run.truncated = !have_run_start;
-                run.gap = have_run_start && run_start_ev.epoch != ev.epoch;
-                dst.push_back(run);
-                have_run_start = false;
-                continue;
-            }
-
-            const auto idx = static_cast<std::size_t>(op);
-            if (ev.isBegin()) {
-                // Single-marker events (user events, decrementer ops)
-                // have no End; emit a zero-length interval directly.
-                const auto cls = classifyOp(op);
-                if (cls == IntervalClass::Other) {
-                    Interval i;
-                    i.cls = cls;
-                    i.op = op;
-                    i.core = tl.core;
-                    i.start_tb = i.end_tb = ev.time_tb;
-                    i.a = ev.a;
-                    i.b = ev.b;
-                    i.c = ev.c;
-                    i.d = ev.d;
-                    dst.push_back(i);
-                } else {
-                    pending[idx] = ev;
-                }
-            } else {
-                Interval i;
-                i.cls = classifyOp(op);
-                i.op = op;
-                i.core = tl.core;
-                if (pending[idx]) {
-                    const Event& b = *pending[idx];
-                    i.start_tb = b.time_tb;
-                    i.a = b.a;
-                    i.b = b.b;
-                    i.c = b.c;
-                    i.d = b.d;
-                    i.gap = b.epoch != ev.epoch;
-                    pending[idx].reset();
-                } else {
-                    // End without Begin (Begin filtered out?): degrade
-                    // to a zero-length interval at the End time.
-                    i.start_tb = ev.time_tb;
-                    i.truncated = true;
-                }
-                i.end_tb = ev.time_tb;
-                i.end_b = ev.b;
-                dst.push_back(i);
-            }
-        }
-
-        // Close dangling intervals at the trace end.
-        const std::uint64_t end = tl.empty() ? 0 : tl.lastTime();
-        for (auto& p : pending) {
-            if (!p)
-                continue;
-            Interval i;
-            i.cls = classifyOp(p->op());
-            i.op = p->op();
-            i.core = tl.core;
-            i.start_tb = p->time_tb;
-            i.end_tb = end;
-            i.a = p->a;
-            i.b = p->b;
-            i.c = p->c;
-            i.d = p->d;
-            i.truncated = true;
-            i.gap = p->epoch != final_epoch;
-            dst.push_back(i);
-        }
-        if (have_run_start) {
-            Interval run;
-            run.cls = IntervalClass::Run;
-            run.op = ApiOp::SpuStart;
-            run.core = tl.core;
-            run.start_tb = run_start_ev.time_tb;
-            run.end_tb = end;
-            run.truncated = true;
-            run.gap = run_start_ev.epoch != final_epoch;
-            dst.push_back(run);
-        }
-
-        std::stable_sort(dst.begin(), dst.end(),
-                         [](const Interval& x, const Interval& y) {
-                             return x.start_tb < y.start_tb;
-                         });
-    }
-    return dst;
+    IntervalMatcher m(tl.core);
+    for (const Event& ev : tl.events)
+        m.feed(ev);
+    m.finish(tl.empty() ? 0 : tl.lastTime());
+    return m.take();
 }
 
 std::uint64_t

@@ -13,7 +13,9 @@
 #ifndef CELL_TA_INTERVALS_H
 #define CELL_TA_INTERVALS_H
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "ta/model.h"
@@ -85,6 +87,62 @@ struct IntervalSet
 
 /** Stall classification for one operation, or Other. */
 IntervalClass classifyOp(rt::ApiOp op);
+
+/**
+ * The Begin/End matching rules for one core's event stream: the one
+ * matcher behind both the full build (buildCoreIntervals) and the
+ * windowed query replay (queryWindowFile).
+ *
+ * The instrumented runtime is sequential per core, so each op has one
+ * pending slot, and SpuStart opens the run slot that SpuStop closes.
+ * A Begin classified Other has no End and emits a zero-length interval
+ * at once. An End with no pending Begin emits a zero-length, truncated
+ * interval. Whatever is still pending at finish() closes at the core's
+ * last event time, truncated.
+ *
+ * A matcher that resumes mid-stream (a windowed query starting at an
+ * index entry) is seeded with phantom pendings: ops whose Begin lies
+ * before the resume point. A phantom's End is consumed without
+ * emitting, since its interval started before the resume point, and a
+ * real Begin replaces the phantom.
+ */
+class IntervalMatcher
+{
+  public:
+    /** Match @p core's stream. @p phantom_ops (bit k = op k) and
+     *  @p phantom_run seed a mid-stream resume; left at zero, matching
+     *  starts at the stream's first event. */
+    explicit IntervalMatcher(std::uint16_t core,
+                             std::uint64_t phantom_ops = 0,
+                             bool phantom_run = false);
+
+    /** Feed the core's next event, placed and clamped. */
+    void feed(const Event& ev);
+
+    /** Close every pending Begin at @p last_time, the core's last
+     *  event time. */
+    void finish(std::uint64_t last_time);
+
+    /** True if a real pending Begin (or the run start) lies in
+     *  [from, to): an interval starting there is yet to be emitted. */
+    bool pendingIn(std::uint64_t from, std::uint64_t to) const;
+
+    /** The emitted intervals, stable-sorted by start time: at equal
+     *  starts, emission order (End order) wins. */
+    std::vector<Interval> take();
+
+  private:
+    std::uint16_t core_;
+    std::uint64_t phantom_ops_;
+    bool phantom_run_;
+    std::array<std::optional<Event>, rt::kNumApiOps> pending_;
+    Event run_start_{};
+    bool have_run_start_ = false;
+    /** Epoch of the newest event seen (tool records included):
+     *  intervals closed by finish() compare against it. */
+    std::uint32_t final_epoch_ = 0;
+    std::vector<Interval> out_;
+};
 
 /** Extract one core's intervals, sorted by start time. Cores are
  *  independent — IntervalSet::build calls this per core, and the

@@ -8,31 +8,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "trace/replay.h"
+
 namespace cell::ta {
-
-namespace {
-
-/** Per-core reconstruction state. */
-struct ClockState
-{
-    bool have_sync = false;
-    std::uint32_t sync_raw = 0;
-    std::uint64_t sync_tb = 0;
-    std::uint32_t epoch = 0; ///< drop epoch (bumped per kDropRecord)
-};
-
-/** Raw 32-bit clock delta since the sync point for one core. The SPU
- *  decrementer counts down; the PPE timebase counts up. Modulo-2^32
- *  subtraction handles wrap in both directions. */
-std::uint32_t
-rawDelta(bool is_spe, std::uint32_t sync_raw, std::uint32_t raw)
-{
-    if (is_spe)
-        return sync_raw - raw; // down-counter
-    return raw - sync_raw;     // up-counter
-}
-
-} // namespace
 
 std::vector<CoreTimeline>
 TraceModel::emptyTimelines(const trace::TraceData& trace)
@@ -53,63 +31,40 @@ TraceModel::emptyTimelines(const trace::TraceData& trace)
 TraceModel
 TraceModel::build(const trace::TraceData& trace, bool lenient)
 {
-    TraceModel model;
-    model.header_ = trace.header;
-
     const std::uint32_t n_cores = trace.header.num_spes + 1;
-    model.cores_ = emptyTimelines(trace);
-
-    std::vector<ClockState> clocks(n_cores);
+    std::vector<CoreTimeline> cores = emptyTimelines(trace);
+    std::vector<trace::ClockReplay> clocks(n_cores);
+    std::uint64_t skipped = 0;
 
     for (const trace::Record& rec : trace.records) {
         if (rec.core >= n_cores) {
             if (lenient) {
-                model.leniency_skipped_ += 1;
+                skipped += 1;
                 continue;
             }
             throw std::runtime_error("TraceModel: record with bad core id");
         }
-        ClockState& clk = clocks[rec.core];
-        const bool is_spe = rec.core != 0;
-
-        if (rec.kind == trace::kSyncRecord) {
-            clk.have_sync = true;
-            clk.sync_raw = static_cast<std::uint32_t>(rec.a);
-            clk.sync_tb = rec.b;
-        }
-        if (!clk.have_sync) {
+        trace::ClockReplay& clk = clocks[rec.core];
+        std::uint64_t t = 0;
+        if (!clk.feed(rec, t)) {
             // A salvaged trace may have lost the sync record this
             // stream prefix depended on; without it the events cannot
             // be placed on the global clock.
             if (lenient) {
-                model.leniency_skipped_ += 1;
+                skipped += 1;
                 continue;
             }
             throw std::runtime_error(
                 "TraceModel: event before first sync record on core " +
                 std::to_string(rec.core));
         }
-        if (rec.kind == trace::kDropRecord)
-            clk.epoch += 1; // the gap ends here; what follows is new
-
-        Event ev;
-        ev.kind = rec.kind;
-        ev.phase = rec.phase;
-        ev.core = rec.core;
-        ev.epoch = clk.epoch;
-        ev.a = rec.a;
-        ev.b = rec.b;
-        ev.c = rec.c;
-        ev.d = rec.d;
-        ev.time_tb =
-            clk.sync_tb + rawDelta(is_spe, clk.sync_raw, rec.timestamp);
-        model.cores_[rec.core].events.push_back(ev);
+        cores[rec.core].events.push_back(Event::placed(rec, t, clk.epoch));
     }
 
     // Per-core streams are recorded in order; enforce monotonic times
     // (clock reconstruction can produce equal stamps for back-to-back
     // events within one timebase tick).
-    for (auto& tl : model.cores_) {
+    for (auto& tl : cores) {
         std::uint64_t prev = 0;
         for (auto& ev : tl.events) {
             if (ev.time_tb < prev)
@@ -117,20 +72,7 @@ TraceModel::build(const trace::TraceData& trace, bool lenient)
             prev = ev.time_tb;
         }
     }
-
-    bool any = false;
-    std::uint64_t lo = ~std::uint64_t{0};
-    std::uint64_t hi = 0;
-    for (const auto& tl : model.cores_) {
-        if (tl.empty())
-            continue;
-        any = true;
-        lo = std::min(lo, tl.firstTime());
-        hi = std::max(hi, tl.lastTime());
-    }
-    model.start_tb_ = any ? lo : 0;
-    model.end_tb_ = any ? hi : 0;
-    return model;
+    return assemble(trace.header, std::move(cores), skipped);
 }
 
 TraceModel

@@ -51,6 +51,15 @@ struct Event
     rt::ApiOp op() const { return static_cast<rt::ApiOp>(kind); }
     bool isBegin() const { return phase == trace::kPhaseBegin; }
 
+    /** @p rec placed at @p time_tb in drop epoch @p epoch — the last
+     *  step of every builder's clock replay. */
+    static Event placed(const trace::Record& rec, std::uint64_t time_tb,
+                        std::uint32_t epoch)
+    {
+        return Event{time_tb, rec.kind, rec.phase, rec.core, epoch,
+                     rec.a,   rec.b,    rec.c,     rec.d};
+    }
+
     /** Field-wise equality (serial-vs-parallel differential tests). */
     bool operator==(const Event&) const = default;
 };
@@ -83,11 +92,11 @@ class TraceModel
                             bool lenient = false);
 
     /**
-     * Assemble a model from externally-built timelines (the parallel
-     * builder's merge stage). @p cores must already be in canonical
-     * form: indexed by core id, labeled, and with per-core
-     * non-decreasing event times — assemble only derives the global
-     * start/end span.
+     * Assemble a model from built timelines (the last step of build(),
+     * of the parallel builder's merge stage, and of windowAnalysis).
+     * @p cores must already be in canonical form: indexed by core id,
+     * labeled, and with per-core non-decreasing event times — assemble
+     * only derives the global start/end span.
      */
     static TraceModel assemble(const trace::Header& header,
                                std::vector<CoreTimeline>&& cores,

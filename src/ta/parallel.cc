@@ -23,17 +23,11 @@
 #include "ta/parallel.h"
 
 #include <algorithm>
-#include <cassert>
-#include <fstream>
-#include <limits>
 #include <stdexcept>
 
-#include "trace/shard.h"
+#include "trace/replay.h"
 
 namespace cell::ta {
-
-// WorkerPool lives in util/worker_pool.cc now (shared with the trace
-// layer's pipelined block decoder); parallel.h re-exports it.
 
 // ---------------------------------------------------------------------------
 // Scan / combine
@@ -117,32 +111,14 @@ combine(RangeScan& into, const RangeScan& next)
 
 namespace {
 
-/** Per-core replay state (mirrors the serial builder's ClockState). */
-struct ClockState
-{
-    bool have_sync = false;
-    std::uint32_t sync_raw = 0;
-    std::uint64_t sync_tb = 0;
-    std::uint32_t epoch = 0;
-};
-
-/** Raw 32-bit clock delta since the sync point (same as serial). */
-std::uint32_t
-rawDelta(bool is_spe, std::uint32_t sync_raw, std::uint32_t raw)
-{
-    if (is_spe)
-        return sync_raw - raw; // down-counter
-    return raw - sync_raw;     // up-counter
-}
-
 /** Clock state after the records summarized by @p prefix. */
-std::vector<ClockState>
+std::vector<trace::ClockReplay>
 clockStatesFrom(const scan::RangeScan& prefix)
 {
-    std::vector<ClockState> states(prefix.cores.size());
+    std::vector<trace::ClockReplay> states(prefix.cores.size());
     for (std::size_t c = 0; c < states.size(); ++c) {
         const scan::CoreScan& cs = prefix.cores[c];
-        ClockState& st = states[c];
+        trace::ClockReplay& st = states[c];
         st.have_sync = cs.saw_sync;
         st.sync_raw = cs.last_sync_raw;
         st.sync_tb = cs.last_sync_tb;
@@ -153,52 +129,25 @@ clockStatesFrom(const scan::RangeScan& prefix)
     return states;
 }
 
-/** Replay records [first, first+count) from @p entry — the serial
- *  per-record loop verbatim — into per-core event runs. */
+/** Replay records [first, first+count) from @p clocks, the clock
+ *  state entering the range, into per-core event runs. */
 std::vector<std::vector<Event>>
 emitRange(const trace::TraceData& trace, std::uint64_t first,
-          std::uint64_t count, const std::vector<ClockState>& entry)
+          std::uint64_t count, std::vector<trace::ClockReplay> clocks)
 {
-    const auto n_cores = static_cast<std::uint32_t>(entry.size());
+    const auto n_cores = static_cast<std::uint32_t>(clocks.size());
     std::vector<std::vector<Event>> out(n_cores);
-    std::vector<ClockState> clocks = entry;
     for (std::uint64_t i = first; i < first + count; ++i) {
         const trace::Record& rec = trace.records[i];
         if (rec.core >= n_cores)
             continue; // accounted in phase 2 (or thrown, strict)
-        ClockState& clk = clocks[rec.core];
-        const bool is_spe = rec.core != 0;
-        if (rec.kind == trace::kSyncRecord) {
-            clk.have_sync = true;
-            clk.sync_raw = static_cast<std::uint32_t>(rec.a);
-            clk.sync_tb = rec.b;
-        }
-        if (!clk.have_sync)
+        trace::ClockReplay& clk = clocks[rec.core];
+        std::uint64_t t = 0;
+        if (!clk.feed(rec, t))
             continue; // accounted in phase 2 (or thrown, strict)
-        if (rec.kind == trace::kDropRecord)
-            clk.epoch += 1;
-
-        Event ev;
-        ev.kind = rec.kind;
-        ev.phase = rec.phase;
-        ev.core = rec.core;
-        ev.epoch = clk.epoch;
-        ev.a = rec.a;
-        ev.b = rec.b;
-        ev.c = rec.c;
-        ev.d = rec.d;
-        ev.time_tb =
-            clk.sync_tb + rawDelta(is_spe, clk.sync_raw, rec.timestamp);
-        out[rec.core].push_back(ev);
+        out[rec.core].push_back(Event::placed(rec, t, clk.epoch));
     }
     return out;
-}
-
-unsigned
-resolveThreads(unsigned threads)
-{
-    return threads != 0 ? threads
-                        : std::max(1u, std::thread::hardware_concurrency());
 }
 
 } // namespace
@@ -232,7 +181,7 @@ buildModelParallel(const trace::TraceData& trace, WorkerPool& pool,
 
     // Phase 2: fold summaries left to right; record the exact clock
     // state entering each shard.
-    std::vector<std::vector<ClockState>> entry(n_shards);
+    std::vector<std::vector<trace::ClockReplay>> entry(n_shards);
     scan::RangeScan prefix;
     prefix.cores.resize(n_cores);
     for (std::uint64_t s = 0; s < n_shards; ++s) {
@@ -328,86 +277,6 @@ buildStatsParallel(const TraceModel& model, const IntervalSet& ivs,
     for (const CoreTimeline& tl : model.cores())
         st.total_records += tl.events.size();
     return st;
-}
-
-Analysis
-analyzeParallel(const trace::TraceData& trace, WorkerPool& pool,
-                bool lenient, std::uint64_t shard_records,
-                const CancelToken* cancel)
-{
-    Analysis a{
-        buildModelParallel(trace, pool, lenient, shard_records, cancel),
-        {},
-        {}};
-    a.intervals = buildIntervalsParallel(a.model, pool, cancel);
-    a.stats = buildStatsParallel(a.model, a.intervals, pool, cancel);
-    return a;
-}
-
-Analysis
-analyzeParallel(const trace::TraceData& trace, const ParallelOptions& opt,
-                bool lenient)
-{
-    const unsigned threads = resolveThreads(opt.threads);
-    if (threads <= 1 && !opt.cancel)
-        return analyze(trace, lenient); // legacy serial path
-    // With a cancel token, even one thread runs the (output-identical)
-    // pipeline so the per-shard checkpoints can abort it.
-    WorkerPool pool(threads);
-    return analyzeParallel(trace, pool, lenient, opt.shard_records,
-                           opt.cancel);
-}
-
-Analysis
-analyzeFileParallel(const std::string& path, const ParallelOptions& opt)
-{
-    const unsigned threads = resolveThreads(opt.threads);
-    if (threads <= 1 && !opt.cancel)
-        return analyzeFile(path); // legacy serial path
-    const CancelToken* cancel = opt.cancel;
-
-    trace::ShardOptions sopt;
-    sopt.target_shards = threads * 4;
-    const trace::ShardPlan plan = trace::planShardsFile(path, sopt);
-
-    trace::TraceData data;
-    data.header = plan.header;
-    data.spe_programs = plan.spe_programs;
-    data.records.resize(static_cast<std::size_t>(plan.record_count));
-
-    WorkerPool pool(threads);
-    pool.parallelFor(plan.shards.size(), [&](std::uint64_t s) {
-        if (cancel)
-            cancel->checkpoint("analyzeFileParallel/ingest");
-        std::ifstream is(path, std::ios::binary);
-        if (!is)
-            throw std::runtime_error("analyzeFileParallel: cannot open " +
-                                     path);
-        trace::readShardInto(is, plan, static_cast<std::size_t>(s),
-                             data.records.data() +
-                                 plan.shards[s].first_record);
-    });
-    return analyzeParallel(data, pool, /*lenient=*/false, opt.shard_records,
-                           cancel);
-}
-
-Analysis
-analyzeFileSalvageParallel(const std::string& path, trace::ReadReport& report,
-                           const ParallelOptions& opt)
-{
-    const unsigned threads = resolveThreads(opt.threads);
-    if (threads <= 1 && !opt.cancel)
-        return analyzeFileSalvage(path, report);
-    // Salvage resync is inherently sequential (it must walk the damage
-    // to find the stride again), so the read stays serial; the
-    // recovered subset is analyzed in parallel, leniently. The token is
-    // polled before and after the read, then per shard in the analysis.
-    if (opt.cancel)
-        opt.cancel->checkpoint("analyzeFileSalvageParallel/read");
-    const trace::TraceData data = trace::readFileSalvage(path, report);
-    ParallelOptions o = opt;
-    o.threads = threads;
-    return analyzeParallel(data, o, /*lenient=*/true);
 }
 
 } // namespace cell::ta

@@ -25,6 +25,11 @@
  * Intervals and statistics then build per core in parallel, through
  * the very same per-core functions the serial path uses.
  *
+ * analyze() and analyzeFile() (ta/analyzer.h) run this pipeline when
+ * AnalyzeOptions asks for more than one thread or carries a cancel
+ * token; the three builders below are its stages, exposed for callers
+ * that time them separately or force a shard size.
+ *
  * Determinism contract: for any trace, any thread count, and any
  * shard granularity, every structure this header produces is
  * IDENTICAL to the serial analyzer's — same events, intervals,
@@ -55,25 +60,10 @@ namespace cell::ta {
  */
 using util::WorkerPool;
 
-/** Knobs for the parallel analyzer. */
-struct ParallelOptions
-{
-    /** Worker threads; 0 = hardware concurrency. 1 forces the legacy
-     *  serial path (exactly analyze()/analyzeFile()). */
-    unsigned threads = 0;
-    /** Records per shard; 0 derives one from the thread count. Small
-     *  values are legal (tests use them to force many shards). */
-    std::uint64_t shard_records = 0;
-    /** Optional cooperative cancellation, polled at shard/core
-     *  boundaries; a tripped token aborts the analysis with
-     *  DeadlineExceeded instead of running it to completion. When set,
-     *  threads == 1 runs the (output-identical) parallel pipeline on
-     *  an inline pool rather than the legacy serial path, so the
-     *  checkpoints stay in play. */
-    const CancelToken* cancel = nullptr;
-};
-
-/** Parallel equivalent of TraceModel::build — identical output. */
+/** Parallel equivalent of TraceModel::build — identical output.
+ *  @p shard_records: records per shard; 0 derives one from the thread
+ *  count. Small values are legal (tests use them to force many
+ *  shards). @p cancel is polled per shard. */
 TraceModel buildModelParallel(const trace::TraceData& trace,
                               WorkerPool& pool, bool lenient = false,
                               std::uint64_t shard_records = 0,
@@ -88,30 +78,6 @@ IntervalSet buildIntervalsParallel(const TraceModel& model,
 TraceStats buildStatsParallel(const TraceModel& model,
                               const IntervalSet& ivs, WorkerPool& pool,
                               const CancelToken* cancel = nullptr);
-
-/** Full parallel analysis on an already-loaded trace. */
-Analysis analyzeParallel(const trace::TraceData& trace,
-                         const ParallelOptions& opt = {},
-                         bool lenient = false);
-
-/** Same, reusing an existing pool (benchmarks, repeated analyses). */
-Analysis analyzeParallel(const trace::TraceData& trace, WorkerPool& pool,
-                         bool lenient = false,
-                         std::uint64_t shard_records = 0,
-                         const CancelToken* cancel = nullptr);
-
-/** Shard the file itself (trace::planShardsFile), ingest the shards
- *  concurrently, then run the parallel analysis. Equivalent to
- *  analyzeFile() on any healthy trace; a damaged or non-seekable file
- *  fails with a diagnostic. threads == 1 IS analyzeFile(). */
-Analysis analyzeFileParallel(const std::string& path,
-                             const ParallelOptions& opt = {});
-
-/** Salvage-read (serial — resync needs the whole stream) then analyze
- *  the recovered subset in parallel, leniently. */
-Analysis analyzeFileSalvageParallel(const std::string& path,
-                                    trace::ReadReport& report,
-                                    const ParallelOptions& opt = {});
 
 /**
  * Internals of the scan/combine phases, exposed so property tests can

@@ -1,34 +1,31 @@
 /**
  * @file
- * Windowed query implementation: block cache, the window-aware
- * interval matcher, the brute-force reference filter, and the indexed
- * per-core replay.
+ * Windowed query implementation: block cache, the brute-force
+ * reference filter, and the indexed per-core replay.
  *
- * Correctness rests on three facts (argued in detail at the relevant
- * code below, enforced end to end by tests/ta/test_query_diff.cc and
- * properties P9/P9b):
+ * The indexed replay places records through trace::ClockReplay and
+ * matches them with IntervalMatcher, the same replay and matcher the
+ * full analysis uses. Correctness rests on three facts (enforced end
+ * to end by tests/ta/test_query_diff.cc and properties P9/P9b):
  *
  *   1. Entry selection uses the LATEST index entry whose tick is
  *      STRICTLY below the window start, so every skipped event has a
  *      clamped time <= entry.tick < from — none can be in the window.
  *   2. The matcher's per-op pending occupancy at the entry is exactly
- *      the entry's open_begins mask intersected with the pendable ops;
- *      a phantom (pre-entry) pending's End is consumed silently since
- *      its interval started before the window.
- *   3. Filtering to the window commutes with the reference's
- *      stable_sort: windowed emission order equals the reference
- *      emission order restricted to the shared items, and stable_sort
- *      by start time preserves that restriction.
+ *      the entry's open_begins mask intersected with the pendable ops.
+ *      Seeded as phantoms, those pendings' Ends emit nothing; their
+ *      intervals started before the window.
+ *   3. Keeping the intervals that start in [from, to) commutes with
+ *      the matcher's stable sort by start time, so the replay's
+ *      intervals equal the reference's, order included.
  */
 
 #include "ta/query.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -37,8 +34,6 @@
 #include "trace/shard.h"
 
 namespace cell::ta {
-
-using rt::ApiOp;
 
 // ---------------------------------------------------------------------------
 // Block cache
@@ -177,196 +172,6 @@ sharedBlockCache()
 }
 
 // ---------------------------------------------------------------------------
-// Window-aware interval matcher
-
-namespace {
-
-/**
- * buildCoreIntervals (intervals.cc), restricted to intervals that
- * START inside [from, to) — plus the phantom-pending machinery that
- * makes mid-stream resume exact. Every branch mirrors the reference;
- * where the reference would emit an interval, emitIfInWindow() keeps
- * it only when start_tb lands in the window. A phantom slot marks "the
- * reference has a pending here whose Begin predates the resume point":
- * its End is consumed without emitting (the interval starts before the
- * window, so the reference's emission is filtered out anyway), and a
- * real Begin overwrites the phantom just as it would overwrite the
- * reference's stale pending... except the reference can't have a stale
- * pending (one slot per op), so a Begin simply clears the flag.
- */
-class WindowMatcher
-{
-  public:
-    WindowMatcher(std::uint16_t core, std::uint64_t from, std::uint64_t to,
-                  std::uint64_t phantom_mask, bool phantom_run)
-        : core_(core), from_(from), to_(to), phantom_(phantom_mask),
-          phantom_run_(phantom_run)
-    {
-    }
-
-    void feed(const Event& ev)
-    {
-        final_epoch_ = ev.epoch;
-        if (ev.isToolRecord() || !ev.isKnownOp())
-            return;
-        const ApiOp op = ev.op();
-
-        if (op == ApiOp::SpuStart) {
-            run_start_ev_ = ev;
-            have_run_start_ = true;
-            phantom_run_ = false;
-            return;
-        }
-        if (op == ApiOp::SpuStop) {
-            if (!have_run_start_ && phantom_run_) {
-                // Run started before the resume point: the reference
-                // emits an interval starting before the window.
-                phantom_run_ = false;
-                return;
-            }
-            Interval run;
-            run.cls = IntervalClass::Run;
-            run.op = ApiOp::SpuStart;
-            run.core = core_;
-            run.start_tb =
-                have_run_start_ ? run_start_ev_.time_tb : ev.time_tb;
-            run.end_tb = ev.time_tb;
-            run.a = ev.a; // exit code
-            run.truncated = !have_run_start_;
-            run.gap = have_run_start_ && run_start_ev_.epoch != ev.epoch;
-            emitIfInWindow(run);
-            have_run_start_ = false;
-            return;
-        }
-
-        const auto idx = static_cast<std::size_t>(op);
-        const std::uint64_t bit = std::uint64_t{1} << idx;
-        if (ev.isBegin()) {
-            const auto cls = classifyOp(op);
-            if (cls == IntervalClass::Other) {
-                Interval i;
-                i.cls = cls;
-                i.op = op;
-                i.core = core_;
-                i.start_tb = i.end_tb = ev.time_tb;
-                i.a = ev.a;
-                i.b = ev.b;
-                i.c = ev.c;
-                i.d = ev.d;
-                emitIfInWindow(i);
-            } else {
-                pending_[idx] = ev;
-                phantom_ &= ~bit;
-            }
-        } else {
-            if (!pending_[idx] && (phantom_ & bit)) {
-                // End of a pre-window Begin: interval starts before
-                // the window, the reference's emission is filtered.
-                phantom_ &= ~bit;
-                return;
-            }
-            Interval i;
-            i.cls = classifyOp(op);
-            i.op = op;
-            i.core = core_;
-            if (pending_[idx]) {
-                const Event& b = *pending_[idx];
-                i.start_tb = b.time_tb;
-                i.a = b.a;
-                i.b = b.b;
-                i.c = b.c;
-                i.d = b.d;
-                i.gap = b.epoch != ev.epoch;
-                pending_[idx].reset();
-            } else {
-                i.start_tb = ev.time_tb;
-                i.truncated = true;
-            }
-            i.end_tb = ev.time_tb;
-            i.end_b = ev.b;
-            emitIfInWindow(i);
-        }
-    }
-
-    /** True if some real pending (or the run start) began inside the
-     *  window — its interval is a window member that only materializes
-     *  later, so replay must not stop yet. */
-    bool hasWindowPending() const
-    {
-        for (const auto& p : pending_) {
-            if (p && p->time_tb >= from_ && p->time_tb < to_)
-                return true;
-        }
-        return have_run_start_ && run_start_ev_.time_tb >= from_ &&
-               run_start_ev_.time_tb < to_;
-    }
-
-    /** Close dangling pendings at the core's last event time — the
-     *  reference's trace-end closure, same op-index order. Phantom
-     *  slots are skipped: their dangling intervals start pre-window. */
-    void finish(std::uint64_t last_time)
-    {
-        for (auto& p : pending_) {
-            if (!p)
-                continue;
-            Interval i;
-            i.cls = classifyOp(p->op());
-            i.op = p->op();
-            i.core = core_;
-            i.start_tb = p->time_tb;
-            i.end_tb = last_time;
-            i.a = p->a;
-            i.b = p->b;
-            i.c = p->c;
-            i.d = p->d;
-            i.truncated = true;
-            i.gap = p->epoch != final_epoch_;
-            emitIfInWindow(i);
-        }
-        if (have_run_start_) {
-            Interval run;
-            run.cls = IntervalClass::Run;
-            run.op = ApiOp::SpuStart;
-            run.core = core_;
-            run.start_tb = run_start_ev_.time_tb;
-            run.end_tb = last_time;
-            run.truncated = true;
-            run.gap = run_start_ev_.epoch != final_epoch_;
-            emitIfInWindow(run);
-        }
-    }
-
-    std::vector<Interval> take()
-    {
-        std::stable_sort(out_.begin(), out_.end(),
-                         [](const Interval& x, const Interval& y) {
-                             return x.start_tb < y.start_tb;
-                         });
-        return std::move(out_);
-    }
-
-  private:
-    void emitIfInWindow(const Interval& i)
-    {
-        if (i.start_tb >= from_ && i.start_tb < to_)
-            out_.push_back(i);
-    }
-
-    std::uint16_t core_;
-    std::uint64_t from_;
-    std::uint64_t to_;
-    std::uint64_t phantom_;
-    bool phantom_run_;
-    std::array<std::optional<Event>, rt::kNumApiOps> pending_;
-    Event run_start_ev_{};
-    bool have_run_start_ = false;
-    std::uint32_t final_epoch_ = 0;
-    std::vector<Interval> out_;
-};
-
-} // namespace
-
-// ---------------------------------------------------------------------------
 // Brute-force reference
 
 WindowResult
@@ -457,10 +262,11 @@ replayCoreWindow(const std::string& path, const trace::ShardPlan& plan,
     std::uint64_t prev = e.tick;
     std::uint64_t last_time = e.tick;
 
-    WindowMatcher matcher(core, from, to, e.open_begins & pendableOpsMask(),
-                          (e.open_begins >>
-                           static_cast<unsigned>(ApiOp::SpuStart)) &
-                              1);
+    // Begins open at the entry are phantoms: their intervals start
+    // before the entry, hence before the window.
+    IntervalMatcher matcher(
+        core, e.open_begins & pendableOpsMask(),
+        (e.open_begins >> static_cast<unsigned>(rt::ApiOp::SpuStart)) & 1);
     bool stopped = false;
 
     // Cache granularity: fixed 4096-record spans for v1 files, the
@@ -522,16 +328,7 @@ replayCoreWindow(const std::string& path, const trace::ShardPlan& plan,
                 t = prev;
             prev = t;
 
-            Event ev;
-            ev.time_tb = t;
-            ev.kind = rec.kind;
-            ev.phase = rec.phase;
-            ev.core = rec.core;
-            ev.epoch = clk.epoch;
-            ev.a = rec.a;
-            ev.b = rec.b;
-            ev.c = rec.c;
-            ev.d = rec.d;
+            const Event ev = Event::placed(rec, t, clk.epoch);
             if (t >= from && t < to)
                 out.events.push_back(ev);
             matcher.feed(ev);
@@ -539,7 +336,7 @@ replayCoreWindow(const std::string& path, const trace::ShardPlan& plan,
 
             // Past the window with nothing window-started still open:
             // every later event and interval start is >= to.
-            if (t >= to && !matcher.hasWindowPending()) {
+            if (t >= to && !matcher.pendingIn(from, to)) {
                 stopped = true;
                 break;
             }
@@ -554,6 +351,9 @@ replayCoreWindow(const std::string& path, const trace::ShardPlan& plan,
     if (!stopped)
         matcher.finish(last_time);
     out.intervals = matcher.take();
+    std::erase_if(out.intervals, [from, to](const Interval& iv) {
+        return iv.start_tb < from || iv.start_tb >= to;
+    });
     return out;
 }
 
@@ -566,16 +366,8 @@ WindowResult
 queryWindowFile(const std::string& path, std::uint64_t from,
                 std::uint64_t to, const QueryOptions& opt)
 {
-    if (opt.salvage) {
-        trace::ReadReport local;
-        trace::ReadReport& rep =
-            opt.salvage_report ? *opt.salvage_report : local;
-        const Analysis a = analyzeFileSalvageParallel(
-            path, rep, ParallelOptions{opt.threads, 0, opt.cancel});
-        return queryWindow(a, from, to, opt.core);
-    }
-
-    bool use_index = !opt.force_full_scan;
+    // Salvage shifts byte offsets, so a salvage read never seeks.
+    bool use_index = !opt.salvage && !opt.force_full_scan;
     trace::ShardPlan plan;
     trace::IndexReadResult ir;
     if (use_index) {
@@ -589,11 +381,8 @@ queryWindowFile(const std::string& path, std::uint64_t from,
         if (use_index && (!ir.valid || !ir.index.strictClean()))
             use_index = false;
     }
-    if (!use_index) {
-        const Analysis a = analyzeFileParallel(
-            path, ParallelOptions{opt.threads, 0, opt.cancel});
-        return queryWindow(a, from, to, opt.core);
-    }
+    if (!use_index)
+        return queryWindow(analyzeFile(path, opt), from, to, opt.core);
 
     const trace::TraceIndex& idx = ir.index;
     WindowResult r;
@@ -686,13 +475,7 @@ windowAnalysis(const WindowResult& r)
                                     r.leniency_skipped),
                {}, {}};
     a.intervals.per_core = r.intervals;
-    a.stats.resizeFor(a.model);
-    std::uint64_t total = 0;
-    for (const CoreTimeline& tl : a.model.cores()) {
-        a.stats.buildCore(a.model, a.intervals, tl.core);
-        total += tl.events.size();
-    }
-    a.stats.total_records = total;
+    a.stats = TraceStats::build(a.model, a.intervals);
     return a;
 }
 

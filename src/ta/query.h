@@ -14,22 +14,23 @@
  * workload, fault-injected, and salvaged trace at 1/2/4/8 threads.
  *
  * How the indexed path gets exact answers without a full scan: per
- * core it resumes the analyzer's replay at the latest index entry
- * whose `tick` (max event time before the entry) is strictly below
- * `from` — every skipped event is provably before the window — with
- * the entry's snapshot of the clock mapping, drop epoch, monotonic
- * clamp, and open-begin mask. Pre-window Begins whose End falls inside
- * the window appear in the mask as "phantom" pendings: their End is
- * consumed silently (the interval started before the window), so the
- * matcher never misclassifies it as an End-without-Begin. Replay stops
- * early once the clock passes `to` and no real pending interval
- * started inside the window.
+ * core it resumes the clock replay (trace::ClockReplay) at the latest
+ * index entry whose `tick` (max event time before the entry) is
+ * strictly below `from` — every skipped event is provably before the
+ * window — with the entry's snapshot of the clock mapping, drop epoch,
+ * monotonic clamp, and open-begin mask. It feeds the placed events to
+ * the analyzer's own IntervalMatcher, seeded with the Begins open at
+ * the entry as "phantom" pendings: their End is consumed silently
+ * (the interval started before the window), so it is never
+ * misclassified as an End-without-Begin. Replay stops early once the
+ * clock passes `to` and no real pending interval started inside the
+ * window.
  *
  * Fallbacks keep every answer exact: no index, a checksum/structural
  * mismatch, salvage mode (salvage shifts byte offsets), a trace whose
  * strict analysis would throw (the index records pre-sync/bad-core
- * skips), or force_full_scan all route through the full (parallel)
- * scan plus the brute-force filter.
+ * skips), or force_full_scan all route through analyzeFile() plus the
+ * brute-force filter.
  *
  * Record blocks decoded from the file are cached in a bounded,
  * thread-safe LRU keyed by (file identity, block range), shared across
@@ -109,13 +110,13 @@ class BlockCache
 /** The process-wide cache queryWindowFile uses by default. */
 BlockCache& sharedBlockCache();
 
-/** Knobs for queryWindowFile. */
-struct QueryOptions
+/** Knobs for queryWindowFile: the analysis fields (threads, salvage,
+ *  cancel, report) as for analyzeFile, plus the query's own. A salvage
+ *  read is never indexed. The cancel token is polled at block
+ *  boundaries on the indexed path and at shard boundaries on the
+ *  full-scan fallback. */
+struct QueryOptions : AnalyzeOptions
 {
-    /** Analysis threads; 0 = hardware concurrency, 1 = serial. */
-    unsigned threads = 0;
-    /** Salvage-read the file (lenient analysis, never indexed). */
-    bool salvage = false;
     /** Ignore any index; take the full-scan path (benchmarks, and the
      *  degradation tests that pin fallback == indexed). */
     bool force_full_scan = false;
@@ -123,13 +124,6 @@ struct QueryOptions
     int core = -1;
     /** Block cache to use; nullptr = sharedBlockCache(). */
     BlockCache* cache = nullptr;
-    /** Optional cooperative cancellation, polled at block boundaries
-     *  on the indexed path and at shard boundaries on the full-scan
-     *  fallbacks; a tripped token aborts with DeadlineExceeded. */
-    const CancelToken* cancel = nullptr;
-    /** When salvage-reading, receives what the salvage reader had to
-     *  skip (the serve layer surfaces it as a loss warning). */
-    trace::ReadReport* salvage_report = nullptr;
 };
 
 /** One windowed query's result. */

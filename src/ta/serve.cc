@@ -12,7 +12,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "ta/parallel.h"
 #include "ta/profile.h"
 
 namespace cell::ta::serve {
@@ -821,59 +820,35 @@ Server::runQuery(const Request& req, const std::string& path,
                  unsigned threads, const CancelToken* cancel, bool salvage,
                  std::string& warn)
 {
-    const auto salvageWarn = [&warn](const trace::ReadReport& rep) {
-        // Mirror the CLI's stderr lines byte for byte, so a served
-        // salvage warning equals `ta --salvage`'s diagnostics.
-        if (!rep.salvaged)
-            return;
-        warn += "ta: " + rep.summary() + "\n";
-        for (const std::string& note : rep.notes)
-            warn += "ta:   " + note + "\n";
-    };
-    const auto loadAnalysis = [&]() -> Analysis {
-        ParallelOptions popt;
-        popt.threads = threads;
-        popt.cancel = cancel;
-        if (!salvage)
-            return analyzeFileParallel(path, popt);
-        trace::ReadReport rep;
-        Analysis a = analyzeFileSalvageParallel(path, rep, popt);
-        salvageWarn(rep);
+    // Served salvage warnings are the CLI's stderr lines, byte for byte.
+    trace::ReadReport rep;
+    QueryOptions opt;
+    opt.threads = threads;
+    opt.salvage = salvage;
+    opt.cancel = cancel;
+    opt.report = &rep;
+    opt.cache = &cache_;
+    const auto loadAnalysis = [&] {
+        Analysis a = analyzeFile(path, opt);
+        warn += salvageDiagnostics(rep);
         return a;
+    };
+    const auto query = [&] {
+        WindowResult w = queryWindowFile(path, req.from, req.to, opt);
+        warn += salvageDiagnostics(rep);
+        return w;
     };
 
     std::ostringstream os;
     switch (req.op) {
-        case Op::Window: {
-            QueryOptions qopt;
-            qopt.threads = threads;
-            qopt.salvage = salvage;
-            qopt.cache = &cache_;
-            qopt.cancel = cancel;
-            trace::ReadReport rep;
-            qopt.salvage_report = &rep;
-            const WindowResult w =
-                queryWindowFile(path, req.from, req.to, qopt);
-            salvageWarn(rep);
-            return windowReport(w);
-        }
+        case Op::Window:
+            return windowReport(query());
         case Op::Profile: {
             const std::uint32_t buckets = req.buckets ? req.buckets : 60;
-            if (req.windowed) {
-                QueryOptions qopt;
-                qopt.threads = threads;
-                qopt.salvage = salvage;
-                qopt.cache = &cache_;
-                qopt.cancel = cancel;
-                trace::ReadReport rep;
-                qopt.salvage_report = &rep;
-                const WindowResult w =
-                    queryWindowFile(path, req.from, req.to, qopt);
-                salvageWarn(rep);
-                printActivity(os, windowAnalysis(w), buckets);
-            } else {
+            if (req.windowed)
+                printActivity(os, windowAnalysis(query()), buckets);
+            else
                 printActivity(os, loadAnalysis(), buckets);
-            }
             return os.str();
         }
         case Op::Loss:

@@ -958,10 +958,8 @@ salvageBlockRegion(const std::uint8_t* data, std::size_t len,
                     Record drop{};
                     drop.kind = kDropRecord;
                     drop.core = s.core;
-                    drop.timestamp =
-                        s.core != 0
-                            ? c.sync_raw - static_cast<std::uint32_t>(delta)
-                            : c.sync_raw + static_cast<std::uint32_t>(delta);
+                    drop.timestamp = rawTimestamp(
+                        s.core, c.sync_raw, static_cast<std::uint32_t>(delta));
                     drop.a = lost_c;
                     drop.b = c.cum_dropped += lost_c;
                     raw.push_back(drop);

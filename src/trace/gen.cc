@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "trace/format.h"
+#include "trace/replay.h"
 #include "trace/writer.h"
 
 namespace cell::trace::gen {
@@ -48,12 +49,6 @@ struct CoreGen
     std::uint64_t drops_cum = 0;
     std::vector<std::uint8_t> open; ///< kinds with an un-Ended Begin
 };
-
-std::uint32_t
-encodeTs(bool is_spe, std::uint32_t sync_raw, std::uint32_t delta)
-{
-    return is_spe ? sync_raw - delta : sync_raw + delta;
-}
 
 } // namespace
 
@@ -176,7 +171,7 @@ generate(const GenOptions& opt)
 
         Record r{};
         r.core = c;
-        r.timestamp = encodeTs(c != 0, cg.sync_raw, delta);
+        r.timestamp = rawTimestamp(c, cg.sync_raw, delta);
         r.a = rng.below(4096);
         r.b = rng.next() & 0xFFFFFFull;
         r.c = static_cast<std::uint32_t>(rng.below(256));

@@ -1,16 +1,15 @@
 /**
  * @file
  * Per-core clock replay: the record-level state machine that places a
- * raw trace record on the reconstructed global timebase.
+ * raw trace record on the reconstructed global timebase, and its
+ * inverse, rawTimestamp().
  *
- * This is the single source of truth for the replay semantics shared
- * by the index builder (trace::buildIndex) and the windowed query
- * layer (ta::queryWindowFile): sync records update the raw->timebase
- * mapping and are themselves placed, records before a core's first
- * sync cannot be placed, and drop markers bump the core's gap epoch
- * before placement. It mirrors TraceModel::build exactly — the
- * differential query suite (tests/ta/test_query_diff.cc) enforces the
- * agreement on every workload trace.
+ * This is the one copy of the replay semantics. TraceModel::build, the
+ * parallel model builder's emit phase, the windowed query replay, the
+ * index and v3 block-seed builders and trace surgery all place records
+ * through it: sync records update the raw->timebase mapping and are
+ * themselves placed, records before a core's first sync cannot be
+ * placed, and drop markers bump the core's gap epoch before placement.
  *
  * Placement does NOT apply the monotonic clamp (equal-or-earlier
  * stamps from back-to-back events inside one timebase tick); the
@@ -64,6 +63,15 @@ struct ClockReplay
         return true;
     }
 };
+
+/** The inverse of placement: the raw timestamp that places at
+ *  `sync_tb + delta` on @p core under a mapping whose sync record read
+ *  @p sync_raw. SPE decrementers count down, the PPE timebase up. */
+inline std::uint32_t
+rawTimestamp(std::uint16_t core, std::uint32_t sync_raw, std::uint32_t delta)
+{
+    return core != 0 ? sync_raw - delta : sync_raw + delta;
+}
 
 } // namespace cell::trace
 

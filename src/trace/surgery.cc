@@ -44,14 +44,6 @@ fillerRecord()
     return r;
 }
 
-/** Raw timestamp that places at sync_tb + delta under the mapping
- *  (sync_raw, sync_tb). SPE decrementers count down, PPE up. */
-std::uint32_t
-encodeTs(bool is_spe, std::uint32_t sync_raw, std::uint32_t delta)
-{
-    return is_spe ? sync_raw - delta : sync_raw + delta;
-}
-
 /** One pending Begin (or the SpuStart run slot) of the analyzer's
  *  matcher, tracked with its placed clamped time. */
 struct Pending
@@ -66,7 +58,7 @@ struct MatcherShadow
     std::array<Pending, 64> pend{};
     Pending run;
 
-    /** Mirror of buildCoreIntervals' slot updates (ta/intervals.cc):
+    /** Mirror of IntervalMatcher's slot updates (ta/intervals.cc):
      *  SpuStart/SpuStop use the run slot regardless of phase, Begins
      *  of pendable ops occupy (and overwrite) their op slot, any other
      *  known-op phase clears the slot. */
@@ -92,7 +84,7 @@ struct MatcherShadow
 
     /** True if a pending began inside [from, to): its interval is a
      *  window member that only materializes later. Mirrors
-     *  WindowMatcher::hasWindowPending (ta/query.cc). */
+     *  IntervalMatcher::pendingIn (ta/intervals.h). */
     bool windowPending(std::uint64_t from, std::uint64_t to) const
     {
         for (const Pending& p : pend) {
@@ -141,7 +133,6 @@ slice(const TraceData& data, std::uint64_t from, std::uint64_t to,
                                     std::uint64_t sync_tb) {
         if (s.pre_placed == 0)
             return; // first placed record is the entry: no seed state
-        const bool is_spe = core != 0;
         const std::uint64_t carry = s.prev;
         const std::uint64_t need = carry - sync_tb;
         if (need <= kU32Max) {
@@ -150,8 +141,8 @@ slice(const TraceData& data, std::uint64_t from, std::uint64_t to,
             sy.core = core;
             sy.a = sync_raw;
             sy.b = sync_tb;
-            sy.timestamp = encodeTs(is_spe, sync_raw,
-                                    static_cast<std::uint32_t>(need));
+            sy.timestamp = rawTimestamp(core, sync_raw,
+                                        static_cast<std::uint32_t>(need));
             preamble.push_back(sy);
         } else {
             // The carry is out of 32-bit delta range of the real sync:
@@ -488,8 +479,8 @@ filter(const TraceData& data, const FilterOptions& opt)
                 "filter: clamp carry out of 32-bit delta range on core " +
                 std::to_string(rec.core) + "; cannot re-encode timestamp");
         Record r = rec;
-        r.timestamp = encodeTs(rec.core != 0, clk[rec.core].sync_raw,
-                               static_cast<std::uint32_t>(delta));
+        r.timestamp = rawTimestamp(rec.core, clk[rec.core].sync_raw,
+                                   static_cast<std::uint32_t>(delta));
         body.push_back(r);
     }
 
@@ -566,8 +557,8 @@ delay(const TraceData& data, const DelayOptions& opt)
             throw std::runtime_error(
                 "delay: shifted delta out of 32-bit range on core " +
                 std::to_string(rec.core) + "; reduce --delta");
-        r.timestamp = encodeTs(rec.core != 0, clk[rec.core].sync_raw,
-                               static_cast<std::uint32_t>(d));
+        r.timestamp = rawTimestamp(rec.core, clk[rec.core].sync_raw,
+                                   static_cast<std::uint32_t>(d));
         out.records.push_back(r);
     }
     out.header.record_count = out.records.size();

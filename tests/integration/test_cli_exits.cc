@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -35,11 +36,13 @@ struct RunResult
     std::string output; ///< stdout + stderr, interleaved
 };
 
+/** Run @p cmd; @p redirect picks what reaches RunResult::output
+ *  (default: stdout and stderr). */
 RunResult
-run(const std::string& cmd)
+run(const std::string& cmd, const std::string& redirect = " 2>&1")
 {
     RunResult r;
-    FILE* p = ::popen((cmd + " 2>&1").c_str(), "r");
+    FILE* p = ::popen((cmd + redirect).c_str(), "r");
     if (p == nullptr)
         return r;
     char buf[4096];
@@ -61,41 +64,72 @@ quoted(const std::string& s)
 const std::string kTa = CELL_TA_BIN;
 const std::string kDump = CELL_PDT_DUMP_BIN;
 
+/** A valid synthetic trace: one sync per core, then @p n records
+ *  alternating between the PPE and one SPE. */
+trace::TraceData
+syntheticTrace(std::uint64_t n)
+{
+    trace::TraceData d;
+    d.header.num_spes = 1;
+    d.header.core_hz = 3'200'000'000ULL;
+    d.header.timebase_divider = 8;
+    d.spe_programs = {"synthetic"};
+    for (std::uint16_t c = 0; c < 2; ++c) {
+        trace::Record r{};
+        r.kind = trace::kSyncRecord;
+        r.core = c;
+        r.a = 1000;
+        r.b = 1000;
+        d.records.push_back(r);
+    }
+    for (std::uint64_t i = 0; i < n; ++i) {
+        trace::Record r{};
+        r.core = static_cast<std::uint16_t>(i % 2);
+        r.kind = static_cast<std::uint8_t>(1 + i % 8);
+        r.phase = (i / 2) % 2 ? trace::kPhaseEnd : trace::kPhaseBegin;
+        r.timestamp = static_cast<std::uint32_t>(1000 + 40 * (i / 2 + 1));
+        d.records.push_back(r);
+    }
+    d.header.record_count = d.records.size();
+    return d;
+}
+
+/** A trace file of @p bytes for this process. ctest runs every case
+ *  as its own process; a shared fixture path would let two processes
+ *  write it concurrently and a third read the torn file. Key it by
+ *  pid. */
+std::string
+writeFixture(const std::string& name, const std::vector<std::uint8_t>& bytes)
+{
+    const std::string p = ::testing::TempDir() + "/" + name + "_" +
+                          std::to_string(::getpid()) + ".pdt";
+    std::ofstream os(p, std::ios::binary);
+    os.write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+    return p;
+}
+
 /** A small valid trace written once for the whole suite. */
 const std::string&
 tracePath()
 {
+    static const std::string path =
+        writeFixture("cli_exits", trace::writeBuffer(syntheticTrace(200)));
+    return path;
+}
+
+/** A 2000-record synthetic trace with 96 bytes of its record region
+ *  smashed: three records a salvage read must skip. */
+const std::string&
+damagedTracePath()
+{
     static const std::string path = [] {
-        // ctest runs every case as its own process; a shared fixture
-        // path would let two processes write it concurrently and a
-        // third read the torn file. Key it by pid.
-        const std::string p = ::testing::TempDir() + "/cli_exits_" +
-                              std::to_string(::getpid()) + ".pdt";
-        trace::TraceData d;
-        d.header.num_spes = 1;
-        d.header.core_hz = 3'200'000'000ULL;
-        d.header.timebase_divider = 8;
-        d.spe_programs = {"synthetic"};
-        for (std::uint16_t c = 0; c < 2; ++c) {
-            trace::Record r{};
-            r.kind = trace::kSyncRecord;
-            r.core = c;
-            r.a = 1000;
-            r.b = 1000;
-            d.records.push_back(r);
-        }
-        for (std::uint64_t i = 0; i < 200; ++i) {
-            trace::Record r{};
-            r.core = static_cast<std::uint16_t>(i % 2);
-            r.kind = static_cast<std::uint8_t>(1 + i % 8);
-            r.phase =
-                (i / 2) % 2 ? trace::kPhaseEnd : trace::kPhaseBegin;
-            r.timestamp = 1000 + 40 * (i / 2 + 1);
-            d.records.push_back(r);
-        }
-        d.header.record_count = d.records.size();
-        trace::writeFile(p, d);
-        return p;
+        std::vector<std::uint8_t> bytes =
+            trace::writeBuffer(syntheticTrace(2000));
+        const std::size_t at = bytes.size() / 2 / 32 * 32;
+        for (std::size_t i = 0; i < 96; ++i)
+            bytes[at + i] = 0xFF;
+        return writeFixture("cli_damaged", bytes);
     }();
     return path;
 }
@@ -103,6 +137,35 @@ tracePath()
 // ---------------------------------------------------------------------------
 // ta
 // ---------------------------------------------------------------------------
+
+TEST(TaSalvage, WindowedCommandsPrintTheSummarySalvageLines)
+{
+    // Stderr only: the salvage diagnostics, then (windowed commands)
+    // the query-path line.
+    const std::string stderr_only = " 2>&1 >/dev/null";
+    const std::string trace = quoted(damagedTracePath());
+    const RunResult summary =
+        run(kTa + " --salvage summary " + trace, stderr_only);
+    ASSERT_EQ(summary.exit_code, 0);
+    ASSERT_NE(summary.output.find("ta: salvaged "), std::string::npos)
+        << summary.output;
+    ASSERT_NE(summary.output.find("ta:   "), std::string::npos)
+        << "salvage notes missing: " << summary.output;
+
+    const RunResult window = run(
+        kTa + " --salvage window " + trace + " 0 1000000", stderr_only);
+    EXPECT_EQ(window.exit_code, 0);
+    EXPECT_EQ(window.output.substr(0, summary.output.size()),
+              summary.output);
+    EXPECT_NE(window.output.find("full-scan query"), std::string::npos);
+
+    const RunResult profile = run(kTa + " --salvage --from 0 --to 1000000 "
+                                        "profile " + trace,
+                                  stderr_only);
+    EXPECT_EQ(profile.exit_code, 0);
+    EXPECT_EQ(profile.output.substr(0, summary.output.size()),
+              summary.output);
+}
 
 TEST(TaExitCodes, NoArgumentsIsUsage)
 {

@@ -141,7 +141,7 @@ TEST(FaultInjection, TaLossReportMatchesTracerCountersExactly)
         trace::ReadReport rep;
         return trace::readBufferSalvage(r.bytes, rep);
     }();
-    const ta::Analysis a = ta::analyze(data, /*lenient=*/true);
+    const ta::Analysis a = ta::analyze(data, {.salvage = true});
 
     ASSERT_EQ(a.stats.loss.size(), r.pdt_stats.spu.size() + 1);
     for (std::size_t i = 0; i < r.pdt_stats.spu.size(); ++i) {
@@ -169,7 +169,7 @@ TEST(FaultInjection, GapSpanningIntervalsAreFlagged)
     const FaultRun r = runTriad(plan, pcfg);
     trace::ReadReport rep;
     const ta::Analysis a =
-        ta::analyze(trace::readBufferSalvage(r.bytes, rep), true);
+        ta::analyze(trace::readBufferSalvage(r.bytes, rep), {.salvage = true});
 
     // Some interval must span a drop gap (the SPU run interval always
     // does: SpuStart sits before the gap, SpuStop after it).
@@ -191,7 +191,7 @@ TEST(FaultInjection, LossReportPrintsPercentages)
 
     trace::ReadReport rep;
     const ta::Analysis a =
-        ta::analyze(trace::readBufferSalvage(r.bytes, rep), true);
+        ta::analyze(trace::readBufferSalvage(r.bytes, rep), {.salvage = true});
     std::ostringstream os;
     ta::printLossReport(os, a);
     EXPECT_NE(os.str().find("loss%"), std::string::npos);

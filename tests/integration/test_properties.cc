@@ -479,7 +479,7 @@ TEST(Properties, P9_MessyTraceWindowedQueryThrowsLikeFullScan)
 
     std::string scan_msg;
     try {
-        (void)ta::analyzeFileParallel(path, ta::ParallelOptions{2, 0});
+        (void)ta::analyzeFile(path, {.threads = 2});
     } catch (const std::runtime_error& ex) {
         scan_msg = ex.what();
     }
@@ -594,14 +594,12 @@ TEST(Properties, P10_CompressedContainerIsInvisibleOnEveryReadPath)
             std::string m1, m3;
             for (const unsigned threads : {1u, 4u}) {
                 try {
-                    (void)ta::analyzeFileParallel(
-                        p1, ta::ParallelOptions{threads, 0});
+                    (void)ta::analyzeFile(p1, {.threads = threads});
                 } catch (const std::runtime_error& ex) {
                     m1 = ex.what();
                 }
                 try {
-                    (void)ta::analyzeFileParallel(
-                        p3, ta::ParallelOptions{threads, 0});
+                    (void)ta::analyzeFile(p3, {.threads = threads});
                 } catch (const std::runtime_error& ex) {
                     m3 = ex.what();
                 }
@@ -614,8 +612,8 @@ TEST(Properties, P10_CompressedContainerIsInvisibleOnEveryReadPath)
             const ta::Analysis full = ta::analyze(data);
             const std::string expect = ta::fullReport(full);
             for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-                const ta::Analysis a3 = ta::analyzeFileParallel(
-                    p3, ta::ParallelOptions{threads, 0});
+                const ta::Analysis a3 =
+                    ta::analyzeFile(p3, {.threads = threads});
                 EXPECT_EQ(ta::fullReport(a3), expect)
                     << threads << " threads";
             }
@@ -680,11 +678,11 @@ TEST(Properties, P10b_CorruptBlockSalvagesToExactGapSeriallyAndInParallel)
     // are the synthetic sync/drop markers bridging the gap.
     EXPECT_GE(serial.records.size(), data.records.size() - de.record_count);
 
-    const ta::Analysis ref = ta::analyze(serial, /*lenient=*/true);
+    const ta::Analysis ref = ta::analyze(serial, {.salvage = true});
     for (const unsigned threads : {2u, 4u}) {
         trace::ReadReport rep;
-        const ta::Analysis par = ta::analyzeFileSalvageParallel(
-            path, rep, ta::ParallelOptions{threads, 0});
+        const ta::Analysis par = ta::analyzeFile(
+            path, {.threads = threads, .salvage = true, .report = &rep});
         EXPECT_EQ(rep.records_read, serial_rep.records_read);
         EXPECT_EQ(rep.records_skipped, serial_rep.records_skipped);
         EXPECT_EQ(ta::fullReport(par), ta::fullReport(ref))
@@ -716,8 +714,8 @@ TEST(Properties, P10c_MmapAndBufferedSourcesProduceIdenticalReports)
         EXPECT_EQ(ta::fullReport(ta::analyze(trace::readFile(path))),
                   expect);
         for (const unsigned threads : {1u, 4u}) {
-            const ta::Analysis a = ta::analyzeFileParallel(
-                path, ta::ParallelOptions{threads, 0});
+            const ta::Analysis a =
+                ta::analyzeFile(path, {.threads = threads});
             EXPECT_EQ(ta::fullReport(a), expect) << threads << " threads";
         }
 
@@ -753,7 +751,7 @@ winRep(const trace::TraceData& d, std::uint64_t from, std::uint64_t to,
        bool lenient = false)
 {
     return ta::windowReport(
-        ta::queryWindow(ta::analyze(d, lenient), from, to));
+        ta::queryWindow(ta::analyze(d, {.salvage = lenient}), from, to));
 }
 
 /** Generated trace plus, for a subset of seeds, a lenient variant with
@@ -783,7 +781,7 @@ TEST(Properties, P11_SliceOfAnyGeneratedTraceAnswersWindowsIdentically)
         SCOPED_TRACE("P11 seed " + std::to_string(seed) +
                      (messy ? " (lenient)" : ""));
         const trace::TraceData data = genTrace(seed, messy);
-        const ta::Analysis full = ta::analyze(data, messy);
+        const ta::Analysis full = ta::analyze(data, {.salvage = messy});
         const std::uint64_t s = full.model.startTb();
         const std::uint64_t e = full.model.endTb();
         const std::uint64_t span = e - s;
@@ -821,7 +819,7 @@ TEST(Properties, P11a_SplicingSlicesAtTheirCutsReassemblesTheOriginal)
         SCOPED_TRACE("P11a seed " + std::to_string(seed) +
                      (messy ? " (lenient)" : ""));
         const trace::TraceData data = genTrace(seed, messy);
-        const ta::Analysis full = ta::analyze(data, messy);
+        const ta::Analysis full = ta::analyze(data, {.salvage = messy});
         const std::string expect = ta::fullReport(full);
         const std::uint64_t s = full.model.startTb();
         const std::uint64_t span = full.model.endTb() - s;
@@ -841,7 +839,7 @@ TEST(Properties, P11a_SplicingSlicesAtTheirCutsReassemblesTheOriginal)
                            trace::slice(data, m, ~std::uint64_t{0}, sem,
                                         sopt)},
                           jopt),
-                      messy)),
+                      {.salvage = messy})),
                   expect)
             << "cut " << m;
 
@@ -856,7 +854,7 @@ TEST(Properties, P11a_SplicingSlicesAtTheirCutsReassemblesTheOriginal)
                            trace::slice(data, m2, ~std::uint64_t{0}, sem,
                                         sopt)},
                           jopt),
-                      messy)),
+                      {.salvage = messy})),
                   expect)
             << "cuts " << m1 << ", " << m2;
     }
@@ -902,7 +900,7 @@ TEST(Properties, P11b_FilterThenAnalyzeEqualsAnalyzeThenRestrict)
         SCOPED_TRACE("P11b seed " + std::to_string(seed) +
                      (messy ? " (lenient)" : ""));
         const trace::TraceData data = genTrace(seed, messy);
-        const ta::Analysis full = ta::analyze(data, messy);
+        const ta::Analysis full = ta::analyze(data, {.salvage = messy});
         std::mt19937_64 rng(seed * 6'364'136 + 11);
 
         // A random non-empty core subset.
@@ -961,7 +959,7 @@ TEST(Properties, P12_DiffOfATraceAgainstItselfIsEmpty)
         SCOPED_TRACE("P12 seed " + std::to_string(seed) +
                      (messy ? " (lenient)" : ""));
         const trace::TraceData data = genTrace(seed, messy);
-        const ta::Analysis a = ta::analyze(data, messy);
+        const ta::Analysis a = ta::analyze(data, {.salvage = messy});
         const ta::DiffResult r = ta::diffAnalyses(a, a);
         EXPECT_FALSE(r.diverged);
         EXPECT_EQ(r.windows_diverged, 0u);
@@ -1009,7 +1007,7 @@ TEST(Properties, P12b_DiffIsAntisymmetric)
         SCOPED_TRACE("P12b seed " + std::to_string(seed) +
                      (messy ? " (lenient)" : ""));
         const trace::TraceData data = genTrace(seed, messy);
-        const ta::Analysis a = ta::analyze(data, messy);
+        const ta::Analysis a = ta::analyze(data, {.salvage = messy});
 
         // B: a different seed of the same scenario when core counts
         // align, else a perturbed variant of A — either way a real,
@@ -1024,7 +1022,7 @@ TEST(Properties, P12b_DiffIsAntisymmetric)
             data_b = trace::delay(data, dopt);
             messy_b = messy;
         }
-        const ta::Analysis b = ta::analyze(data_b, messy_b);
+        const ta::Analysis b = ta::analyze(data_b, {.salvage = messy_b});
 
         const ta::DiffResult ab = ta::diffAnalyses(a, b);
         const ta::DiffResult ba = ta::diffAnalyses(b, a);

@@ -689,7 +689,7 @@ TEST(ServeRobustness, CorruptTraceAutoDowngradesToSalvageWithWarning)
         trace::readFileSalvage(path, report);
     ASSERT_TRUE(report.salvaged);
     std::ostringstream want;
-    ta::printSummary(want, ta::analyze(salvaged, /*lenient=*/true));
+    ta::printSummary(want, ta::analyze(salvaged, {.salvage = true}));
 
     ServerConfig cfg = baseConfig("salvage.sock");
     Server server(cfg);

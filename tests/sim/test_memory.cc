@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "sim/local_store.h"
@@ -67,6 +68,17 @@ struct DmaShapeCase
     std::size_t len;
     bool ok;
 };
+
+/** Prints a case by its fields, e.g. ls0x100_ea0x4000_len16384_ok.
+ *  gtest_discover_tests names each case after this text; gtest's
+ *  default would print the struct's bytes, padding included, so the
+ *  names changed from build to build. */
+void
+PrintTo(const DmaShapeCase& c, std::ostream* os)
+{
+    *os << std::hex << "ls0x" << c.ls << "_ea0x" << c.ea << std::dec
+        << "_len" << c.len << (c.ok ? "_ok" : "_bad");
+}
 
 class DmaShape : public ::testing::TestWithParam<DmaShapeCase>
 {};

@@ -52,6 +52,18 @@ committedDigest(const std::string& name)
     return s;
 }
 
+/** The parallel pipeline on 4 threads with 64-record shards, so even
+ *  tiny fixtures split into many shards. */
+ta::Analysis
+shardedAnalysis(const trace::TraceData& data)
+{
+    ta::WorkerPool pool(4);
+    ta::Analysis a{ta::buildModelParallel(data, pool, false, 64), {}, {}};
+    a.intervals = ta::buildIntervalsParallel(a.model, pool);
+    a.stats = ta::buildStatsParallel(a.model, a.intervals, pool);
+    return a;
+}
+
 std::string
 digestOf(const ta::Analysis& a)
 {
@@ -81,10 +93,7 @@ TEST(Golden, ParallelAnalyzerReproducesCommittedDigests)
         ASSERT_FALSE(expect.empty()) << "missing digest for " << name;
         const trace::TraceData data =
             trace::readFile(goldenPath(name, ".pdt"));
-        ta::ParallelOptions opt;
-        opt.threads = 4;
-        opt.shard_records = 64; // many shards even on tiny fixtures
-        EXPECT_EQ(digestOf(ta::analyzeParallel(data, opt)), expect);
+        EXPECT_EQ(digestOf(shardedAnalysis(data)), expect);
     }
 }
 
@@ -93,10 +102,8 @@ TEST(Golden, FileShardedIngestReproducesCommittedDigests)
     for (const char* name : kFixtures) {
         SCOPED_TRACE(name);
         const std::string expect = committedDigest(name);
-        ta::ParallelOptions opt;
-        opt.threads = 4;
-        EXPECT_EQ(digestOf(ta::analyzeFileParallel(goldenPath(name, ".pdt"),
-                                                   opt)),
+        EXPECT_EQ(digestOf(ta::analyzeFile(goldenPath(name, ".pdt"),
+                                           {.threads = 4})),
                   expect);
     }
 }
@@ -131,12 +138,9 @@ TEST(Golden, V3VariantsDecodeToTheCommittedDigests)
         EXPECT_EQ(data.header.version, trace::kFormatVersion);
         EXPECT_EQ(digestOf(ta::analyze(data)), expect);
 
-        ta::ParallelOptions opt;
-        opt.threads = 4;
-        opt.shard_records = 64;
-        EXPECT_EQ(digestOf(ta::analyzeParallel(data, opt)), expect);
-        EXPECT_EQ(digestOf(ta::analyzeFileParallel(
-                      goldenPath(name, ".v3.pdt"), ta::ParallelOptions{4, 0})),
+        EXPECT_EQ(digestOf(shardedAnalysis(data)), expect);
+        EXPECT_EQ(digestOf(ta::analyzeFile(goldenPath(name, ".v3.pdt"),
+                                           {.threads = 4})),
                   expect);
     }
 }

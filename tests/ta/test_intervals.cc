@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ta/analyzer.h"
 #include "ta/intervals.h"
 
 namespace cell::ta {
@@ -210,6 +211,45 @@ TEST(Intervals, PpeCallsClassified)
     const auto calls = ivs.select(0, IntervalClass::PpeCall);
     ASSERT_EQ(calls.size(), 1u);
     EXPECT_EQ(calls[0].duration(), 200u);
+}
+
+TEST(Intervals, FullBuildKeepsIntervalsStartingAtTheLastTick)
+{
+    // A sync record's timebase field is not validated, so a stream can
+    // place events at UINT64_MAX. The full build takes no window, so it
+    // keeps them: "no window" is not the window [0, UINT64_MAX).
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    StreamBuilder sb;
+    Record sync{};
+    sync.kind = trace::kSyncRecord;
+    sync.core = 1;
+    sync.timestamp = 500;
+    sync.a = 500;
+    sync.b = kMax;
+    sb.t.records.push_back(sync);
+    Record r{};
+    r.core = 1;
+    r.timestamp = 500; // zero delta from the sync: placed at kMax
+    r.kind = static_cast<std::uint8_t>(rt::ApiOp::SpuTagWaitAll);
+    r.phase = trace::kPhaseBegin;
+    sb.t.records.push_back(r);
+    r.phase = trace::kPhaseEnd;
+    sb.t.records.push_back(r);
+    r.kind = static_cast<std::uint8_t>(rt::ApiOp::SpuUserEvent);
+    r.phase = trace::kPhaseBegin;
+    sb.t.records.push_back(r);
+
+    for (const IntervalSet& ivs :
+         {sb.build(), analyze(sb.t, {.threads = 2}).intervals}) {
+        const auto waits = ivs.select(1, IntervalClass::DmaWait);
+        ASSERT_EQ(waits.size(), 1u);
+        EXPECT_EQ(waits[0].start_tb, kMax);
+        EXPECT_EQ(waits[0].end_tb, kMax);
+        EXPECT_FALSE(waits[0].truncated);
+        const auto others = ivs.select(1, IntervalClass::Other);
+        ASSERT_EQ(others.size(), 1u);
+        EXPECT_EQ(others[0].start_tb, kMax);
+    }
 }
 
 TEST(Intervals, ClassNamesAreStable)

@@ -148,6 +148,20 @@ salvagedTrace(trace::ReadReport& report)
     return trace::readBufferSalvage(bytes, report);
 }
 
+/** The parallel pipeline at @p threads with @p shard_records-record
+ *  shards, small enough to force many shards even on tiny traces. */
+ta::Analysis
+shardedAnalysis(const trace::TraceData& data, unsigned threads, bool lenient,
+                std::uint64_t shard_records)
+{
+    ta::WorkerPool pool(threads);
+    ta::Analysis a{
+        ta::buildModelParallel(data, pool, lenient, shard_records), {}, {}};
+    a.intervals = ta::buildIntervalsParallel(a.model, pool);
+    a.stats = ta::buildStatsParallel(a.model, a.intervals, pool);
+    return a;
+}
+
 /** Assert every derived structure matches, field by field, and the
  *  printed reports are byte-identical. */
 void
@@ -180,12 +194,11 @@ constexpr unsigned kThreadCounts[] = {1, 2, 4, 8};
 TEST(ParallelDiff, AllWorkloadsMatchSerialAtEveryThreadCount)
 {
     for (const NamedTrace& t : workloadTraces()) {
-        const ta::Analysis serial = ta::analyze(t.data, t.lenient);
+        const ta::Analysis serial =
+            ta::analyze(t.data, {.salvage = t.lenient});
         for (const unsigned threads : kThreadCounts) {
-            ta::WorkerPool pool(threads);
             const ta::Analysis par =
-                ta::analyzeParallel(t.data, pool, t.lenient,
-                                    /*shard_records=*/257);
+                shardedAnalysis(t.data, threads, t.lenient, 257);
             expectIdentical(serial, par,
                             t.name + " @" + std::to_string(threads) + "t");
         }
@@ -204,9 +217,7 @@ TEST(ParallelDiff, FaultInjectedDropTraceMatchesSerial)
 
     const ta::Analysis serial = ta::analyze(data);
     for (const unsigned threads : kThreadCounts) {
-        ta::WorkerPool pool(threads);
-        const ta::Analysis par =
-            ta::analyzeParallel(data, pool, false, /*shard_records=*/129);
+        const ta::Analysis par = shardedAnalysis(data, threads, false, 129);
         expectIdentical(serial, par,
                         "drops @" + std::to_string(threads) + "t");
     }
@@ -218,12 +229,9 @@ TEST(ParallelDiff, SalvagedTraceMatchesSerialLenient)
     const trace::TraceData data = salvagedTrace(report);
     ASSERT_TRUE(report.salvaged);
 
-    const ta::Analysis serial = ta::analyze(data, /*lenient=*/true);
+    const ta::Analysis serial = ta::analyze(data, {.salvage = true});
     for (const unsigned threads : kThreadCounts) {
-        ta::WorkerPool pool(threads);
-        const ta::Analysis par =
-            ta::analyzeParallel(data, pool, /*lenient=*/true,
-                                /*shard_records=*/97);
+        const ta::Analysis par = shardedAnalysis(data, threads, true, 97);
         expectIdentical(serial, par,
                         "salvaged @" + std::to_string(threads) + "t");
     }
@@ -243,9 +251,7 @@ TEST(ParallelDiff, FileShardedIngestMatchesSerialRead)
 
     const ta::Analysis serial = ta::analyzeFile(path);
     for (const unsigned threads : {2u, 4u, 8u}) {
-        ta::ParallelOptions opt;
-        opt.threads = threads;
-        const ta::Analysis par = ta::analyzeFileParallel(path, opt);
+        const ta::Analysis par = ta::analyzeFile(path, {.threads = threads});
         expectIdentical(serial, par,
                         "file @" + std::to_string(threads) + "t");
     }
@@ -259,9 +265,7 @@ TEST(ParallelDiff, ThreadsOneIsExactlyTheLegacyPath)
         p.n_spes = 2;
         return std::make_unique<wl::Triad>(sys, p);
     });
-    ta::ParallelOptions opt;
-    opt.threads = 1;
-    expectIdentical(ta::analyze(data), ta::analyzeParallel(data, opt),
+    expectIdentical(ta::analyze(data), ta::analyze(data, {.threads = 1}),
                     "threads=1");
 }
 

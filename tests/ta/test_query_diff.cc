@@ -238,8 +238,8 @@ TEST(QueryDiff, CompressedReportsMatchUncompressedByteForByte)
         ta::printLossReport(expect_loss, ref);
 
         for (const unsigned threads : kThreadCounts) {
-            const ta::Analysis a = ta::analyzeFileParallel(
-                p3, ta::ParallelOptions{threads, 0});
+            const ta::Analysis a =
+                ta::analyzeFile(p3, {.threads = threads});
             EXPECT_EQ(ta::fullReport(a), expect_full)
                 << threads << " threads";
             std::ostringstream loss;
@@ -329,7 +329,7 @@ TEST(QueryDiff, SalvagedTraceQueriesMatchBruteForceAndNeverUseIndex)
     trace::ReadReport report;
     const trace::TraceData data = trace::readBufferSalvage(bytes, report);
     ASSERT_TRUE(report.salvaged);
-    const ta::Analysis full = ta::analyze(data, /*lenient=*/true);
+    const ta::Analysis full = ta::analyze(data, {.salvage = true});
 
     ta::BlockCache cache;
     for (const auto& [from, to] : windowsFor(full.model)) {

@@ -257,7 +257,8 @@ TEST(SurgeryDiff, SliceWindowedQueriesMatchOriginalEverywhere)
 {
     const trace::OpSemantics sem = ta::surgeryOpSemantics();
     for (const NamedTrace& t : suiteTraces()) {
-        const ta::Analysis full = ta::analyze(t.data, t.lenient);
+        const ta::Analysis full =
+            ta::analyze(t.data, {.salvage = t.lenient});
         for (const auto& [from, to] : windowsFor(full.model)) {
             const std::string expect =
                 ta::windowReport(ta::queryWindow(full, from, to));
@@ -268,7 +269,8 @@ TEST(SurgeryDiff, SliceWindowedQueriesMatchOriginalEverywhere)
 
             // In-memory: windowed query on the slice's own analysis.
             EXPECT_EQ(ta::windowReport(ta::queryWindow(
-                          ta::analyze(sliced, t.lenient), from, to)),
+                          ta::analyze(sliced, {.salvage = t.lenient}), from,
+                          to)),
                       expect)
                 << t.name << " [" << from << ", " << to << ")";
 
@@ -302,7 +304,8 @@ TEST(SurgeryDiff, SpliceCutRoundTripReassemblesEveryTrace)
     const trace::OpSemantics sem = ta::surgeryOpSemantics();
     for (const NamedTrace& t : suiteTraces()) {
         SCOPED_TRACE(t.name);
-        const ta::Analysis full = ta::analyze(t.data, t.lenient);
+        const ta::Analysis full =
+            ta::analyze(t.data, {.salvage = t.lenient});
         const std::string expect = ta::fullReport(full);
         const std::uint64_t m =
             full.model.startTb() + full.model.spanTb() / 2;
@@ -317,7 +320,8 @@ TEST(SurgeryDiff, SpliceCutRoundTripReassemblesEveryTrace)
         jopt.cuts = {m};
         jopt.lenient = t.lenient;
         const trace::TraceData whole = trace::splice({head, tail}, jopt);
-        EXPECT_EQ(ta::fullReport(ta::analyze(whole, t.lenient)), expect);
+        EXPECT_EQ(ta::fullReport(ta::analyze(whole, {.salvage = t.lenient})),
+                  expect);
     }
 }
 
@@ -353,7 +357,8 @@ TEST(SurgeryDiff, FilterByCoreMatchesCoreRestrictedQuery)
     // streams are independent, and the filter's timestamp re-encode
     // pins every survivor to its original placed time.
     for (const NamedTrace& t : suiteTraces()) {
-        const ta::Analysis full = ta::analyze(t.data, t.lenient);
+        const ta::Analysis full =
+            ta::analyze(t.data, {.salvage = t.lenient});
         const std::uint64_t s = full.model.startTb();
         const std::uint64_t span = full.model.spanTb();
         const std::uint64_t from = s + span / 4;
@@ -368,7 +373,8 @@ TEST(SurgeryDiff, FilterByCoreMatchesCoreRestrictedQuery)
             const std::string expect = ta::windowReport(ta::queryWindow(
                 full, from, to, static_cast<int>(core)));
             EXPECT_EQ(ta::windowReport(ta::queryWindow(
-                          ta::analyze(kept, t.lenient), from, to)),
+                          ta::analyze(kept, {.salvage = t.lenient}), from,
+                          to)),
                       expect);
         }
     }
@@ -383,7 +389,8 @@ TEST(SurgeryDiff, FilterByKindGroupMatchesEventRestriction)
         {"lifecycle", groupMask({rt::ApiGroup::Lifecycle})},
     };
     for (const NamedTrace& t : suiteTraces()) {
-        const ta::Analysis full = ta::analyze(t.data, t.lenient);
+        const ta::Analysis full =
+            ta::analyze(t.data, {.salvage = t.lenient});
         for (const auto& [name, mask] : masks) {
             SCOPED_TRACE(t.name + std::string(" ") + name);
             trace::FilterOptions fopt;
@@ -391,8 +398,9 @@ TEST(SurgeryDiff, FilterByKindGroupMatchesEventRestriction)
             fopt.lenient = t.lenient;
             const trace::TraceData kept = trace::filter(t.data, fopt);
             EXPECT_EQ(
-                ta::windowReport(ta::queryWindow(
-                    ta::analyze(kept, t.lenient), 0, ~std::uint64_t{0})),
+                ta::windowReport(
+                    ta::queryWindow(ta::analyze(kept, {.salvage = t.lenient}),
+                                    0, ~std::uint64_t{0})),
                 restrictedReport(full, {}, mask));
         }
     }
@@ -404,9 +412,9 @@ TEST(SurgeryDiff, IdentityFilterIsLossless)
         SCOPED_TRACE(t.name);
         trace::FilterOptions fopt;
         fopt.lenient = t.lenient;
-        EXPECT_EQ(ta::fullReport(
-                      ta::analyze(trace::filter(t.data, fopt), t.lenient)),
-                  ta::fullReport(ta::analyze(t.data, t.lenient)));
+        EXPECT_EQ(ta::fullReport(ta::analyze(trace::filter(t.data, fopt),
+                                             {.salvage = t.lenient})),
+                  ta::fullReport(ta::analyze(t.data, {.salvage = t.lenient})));
     }
 }
 

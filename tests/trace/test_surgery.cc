@@ -31,7 +31,7 @@ std::string
 winRep(const TraceData& d, std::uint64_t from, std::uint64_t to,
        bool lenient = false)
 {
-    const ta::Analysis a = ta::analyze(d, lenient);
+    const ta::Analysis a = ta::analyze(d, {.salvage = lenient});
     return ta::windowReport(ta::queryWindow(a, from, to));
 }
 
@@ -188,7 +188,7 @@ TEST(Slice, LenientKeepsSkipAccounting)
     sopt.lenient = true;
     const TraceData sl =
         trace::slice(d, 1200, 2200, ta::surgeryOpSemantics(), sopt);
-    EXPECT_EQ(ta::analyze(sl, true).model.leniencySkipped(), 3u);
+    EXPECT_EQ(ta::analyze(sl, {.salvage = true}).model.leniencySkipped(), 3u);
     EXPECT_EQ(winRep(sl, 1200, 2200, true), winRep(d, 1200, 2200, true));
 }
 
@@ -340,7 +340,7 @@ std::string
 restrictedReport(const TraceData& d, const std::vector<std::uint16_t>& cores,
                  std::uint64_t kind_mask, bool lenient = false)
 {
-    const ta::Analysis a = ta::analyze(d, lenient);
+    const ta::Analysis a = ta::analyze(d, {.salvage = lenient});
     std::vector<char> keep(a.model.cores().size(),
                            cores.empty() ? 1 : 0);
     for (const std::uint16_t c : cores)
@@ -376,7 +376,7 @@ std::string
 filteredReport(const TraceData& d, const trace::FilterOptions& fopt)
 {
     const TraceData f = trace::filter(d, fopt);
-    const ta::Analysis a = ta::analyze(f, fopt.lenient);
+    const ta::Analysis a = ta::analyze(f, {.salvage = fopt.lenient});
     return ta::windowReport(ta::queryWindow(a, 0, ~std::uint64_t{0}));
 }
 
@@ -457,7 +457,7 @@ TEST(Filter, LenientKeepsSkipAccounting)
     fopt.cores = {0}; // the stray pre-sync record is on a dropped core
     fopt.lenient = true;
     const TraceData f = trace::filter(d, fopt);
-    EXPECT_EQ(ta::analyze(f, true).model.leniencySkipped(), 1u);
+    EXPECT_EQ(ta::analyze(f, {.salvage = true}).model.leniencySkipped(), 1u);
     EXPECT_EQ(filteredReport(d, fopt),
               restrictedReport(d, {0}, ~0ull, true));
 }

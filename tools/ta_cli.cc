@@ -43,7 +43,7 @@
  * concurrency). The parallel path shards the file on the record
  * stride, ingests and analyzes the shards concurrently, and produces
  * byte-identical output to the serial analyzer; `--threads 1` forces
- * the legacy serial path.
+ * the serial path.
  */
 
 #include <cctype>
@@ -141,21 +141,37 @@ usage()
     return 2;
 }
 
+/** Analyze @p path as the flags ask; salvage diagnostics go to
+ *  stderr. */
 cell::ta::Analysis
-load(const std::string& path, bool salvage, unsigned threads)
+load(const cell::cli::Flags& f, const std::string& path)
 {
-    const cell::ta::ParallelOptions popt{threads, 0};
-    if (!salvage)
-        return cell::ta::analyzeFileParallel(path, popt);
     cell::trace::ReadReport report;
-    cell::ta::Analysis a =
-        cell::ta::analyzeFileSalvageParallel(path, report, popt);
-    if (report.salvaged) {
-        std::cerr << "ta: " << report.summary() << "\n";
-        for (const std::string& note : report.notes)
-            std::cerr << "ta:   " << note << "\n";
-    }
+    cell::ta::Analysis a = cell::ta::analyzeFile(
+        path,
+        {.threads = f.threads, .salvage = f.salvage, .report = &report});
+    std::cerr << cell::ta::salvageDiagnostics(report);
     return a;
+}
+
+/** The windowed query behind `window` and `profile --from/--to`;
+ *  salvage diagnostics and the query's path go to stderr. */
+cell::ta::WindowResult
+loadWindow(const cell::cli::Flags& f, const std::string& path,
+           std::uint64_t from, std::uint64_t to)
+{
+    cell::trace::ReadReport report;
+    cell::ta::QueryOptions qopt;
+    qopt.threads = f.threads;
+    qopt.salvage = f.salvage;
+    qopt.report = &report;
+    qopt.force_full_scan = f.full_scan;
+    cell::ta::WindowResult w =
+        cell::ta::queryWindowFile(path, from, to, qopt);
+    std::cerr << cell::ta::salvageDiagnostics(report) << "ta: "
+              << (w.used_index ? "indexed" : "full-scan") << " query, "
+              << w.records_scanned << " records scanned\n";
+    return w;
 }
 
 volatile std::sig_atomic_t g_signalled = 0;
@@ -555,8 +571,7 @@ runSurgery(const cell::cli::Flags& f)
             return trace::readFile(p);
         trace::ReadReport report;
         trace::TraceData d = trace::readFileSalvage(p, report);
-        if (report.salvaged)
-            std::cerr << "ta: " << report.summary() << "\n";
+        std::cerr << ta::salvageDiagnostics(report);
         return d;
     };
 
@@ -731,8 +746,6 @@ main(int argc, char** argv)
         std::cerr << "ta: " << f.error << "\n";
         return usage();
     }
-    const bool salvage = f.salvage;
-    const unsigned threads = f.threads;
     const auto& pos = f.positionals;
     if (pos.size() < 2)
         return usage();
@@ -782,8 +795,8 @@ main(int argc, char** argv)
         if (cmd == "compare") {
             if (n_extra < 1)
                 return usage();
-            const ta::Analysis a = load(path, salvage, threads);
-            const ta::Analysis b = load(extra(0), salvage, threads);
+            const ta::Analysis a = load(f, path);
+            const ta::Analysis b = load(f, extra(0));
             // A misaligned table is worse than no table: refuse
             // mismatched core maps with both maps printed (use `ta
             // diff`, which aligns by label, for cross-shape runs).
@@ -809,16 +822,7 @@ main(int argc, char** argv)
                 std::cerr << "ta: window 'from' exceeds 'to'\n";
                 return usage();
             }
-            ta::QueryOptions qopt;
-            qopt.threads = threads;
-            qopt.salvage = salvage;
-            qopt.force_full_scan = f.full_scan;
-            const ta::WindowResult w =
-                ta::queryWindowFile(path, from, to, qopt);
-            std::cerr << "ta: " << (w.used_index ? "indexed" : "full-scan")
-                      << " query, " << w.records_scanned
-                      << " records scanned\n";
-            std::cout << ta::windowReport(w);
+            std::cout << ta::windowReport(loadWindow(f, path, from, to));
             return 0;
         }
         if (cmd == "profile") {
@@ -835,26 +839,15 @@ main(int argc, char** argv)
                 std::cerr << "ta: --from exceeds --to\n";
                 return usage();
             }
-            if (f.have_from || f.have_to) {
-                ta::QueryOptions qopt;
-                qopt.threads = threads;
-                qopt.salvage = salvage;
-                qopt.force_full_scan = f.full_scan;
-                const ta::WindowResult w =
-                    ta::queryWindowFile(path, f.from, f.to, qopt);
-                std::cerr << "ta: "
-                          << (w.used_index ? "indexed" : "full-scan")
-                          << " query, " << w.records_scanned
-                          << " records scanned\n";
-                ta::printActivity(std::cout, ta::windowAnalysis(w), buckets);
-            } else {
-                ta::printActivity(std::cout, load(path, salvage, threads),
-                                  buckets);
-            }
+            const ta::Analysis a =
+                f.have_from || f.have_to
+                    ? ta::windowAnalysis(loadWindow(f, path, f.from, f.to))
+                    : load(f, path);
+            ta::printActivity(std::cout, a, buckets);
             return 0;
         }
 
-        const ta::Analysis a = load(path, salvage, threads);
+        const ta::Analysis a = load(f, path);
         if (cmd == "summary") {
             ta::printSummary(std::cout, a);
         } else if (cmd == "breakdown") {

@@ -229,13 +229,30 @@ diffDigestHex(const std::filesystem::path& dir)
 }
 
 std::string
-digestHex(const trace::TraceData& data)
+reportDigest(const ta::Analysis& a)
 {
-    const ta::Analysis a = ta::analyze(data, /*lenient=*/false);
     std::ostringstream os;
     os << std::hex << std::setw(16) << std::setfill('0')
        << ta::fnv1a64(ta::fullReport(a));
     return os.str();
+}
+
+std::string
+digestHex(const trace::TraceData& data)
+{
+    return reportDigest(ta::analyze(data));
+}
+
+/** The parallel pipeline on 4 threads with 64-record shards, so even
+ *  tiny fixtures split into many shards. */
+ta::Analysis
+shardedAnalysis(const trace::TraceData& data)
+{
+    ta::WorkerPool pool(4);
+    ta::Analysis a{ta::buildModelParallel(data, pool, false, 64), {}, {}};
+    a.intervals = ta::buildIntervalsParallel(a.model, pool);
+    a.stats = ta::buildStatsParallel(a.model, a.intervals, pool);
+    return a;
 }
 
 std::string
@@ -321,19 +338,12 @@ check(const std::filesystem::path& dir)
             continue;
         }
         // Serial and the sharded parallel pipeline must both hit it.
-        const std::string serial =
-            digestHex(trace::readFile(trace_path.string()));
-        ta::ParallelOptions popt;
-        popt.threads = 4;
-        popt.shard_records = 64; // force many shards even on tiny traces
-        const ta::Analysis par =
-            ta::analyzeParallel(trace::readFile(trace_path.string()), popt);
-        std::ostringstream ps;
-        ps << std::hex << std::setw(16) << std::setfill('0')
-           << ta::fnv1a64(ta::fullReport(par));
-        if (serial != expect || ps.str() != expect) {
+        const trace::TraceData data = trace::readFile(trace_path.string());
+        const std::string serial = digestHex(data);
+        const std::string parallel = reportDigest(shardedAnalysis(data));
+        if (serial != expect || parallel != expect) {
             std::cerr << f.name << ": digest mismatch (expect " << expect
-                      << ", serial " << serial << ", parallel " << ps.str()
+                      << ", serial " << serial << ", parallel " << parallel
                       << ")\n";
             ++failures;
             continue;
@@ -387,14 +397,12 @@ check(const std::filesystem::path& dir)
         const auto v3_path = dir / (std::string(f.name) + ".v3.pdt");
         const std::string v3_digest =
             digestHex(trace::readFile(v3_path.string()));
-        std::ostringstream v3p;
-        v3p << std::hex << std::setw(16) << std::setfill('0')
-            << ta::fnv1a64(ta::fullReport(ta::analyzeFileParallel(
-                   v3_path.string(), ta::ParallelOptions{4, 0})));
-        if (v3_digest != expect || v3p.str() != expect) {
+        const std::string v3_parallel =
+            reportDigest(ta::analyzeFile(v3_path.string(), {.threads = 4}));
+        if (v3_digest != expect || v3_parallel != expect) {
             std::cerr << f.name << ": v3 variant digest mismatch (expect "
                       << expect << ", serial " << v3_digest << ", parallel "
-                      << v3p.str() << ")\n";
+                      << v3_parallel << ")\n";
             ++failures;
             continue;
         }
