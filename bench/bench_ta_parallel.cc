@@ -14,12 +14,21 @@
  * harness); this file measures nothing but wall clock. Speedup above 1
  * thread requires physical cores — on a single-core host the curve is
  * flat and the parallel path only pays its (small) coordination cost.
+ *
+ * BM_StatsBuild/N times TraceStats::build alone on generated
+ * sparse_cores traces of N records and fits its growth with
+ * ->Complexity(); `scripts/bench-compare.py --assert-complexity`
+ * fails when that fit is N^2 or worse. The fit compares sizes within
+ * one run, so the check holds on any host.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "bench/common.h"
 #include "ta/parallel.h"
+#include "trace/gen.h"
 
 namespace {
 
@@ -136,6 +145,50 @@ BENCHMARK(BM_BuildModelParallel)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_StatsBuild(benchmark::State& state)
+{
+    // Statistics input for one size: a sparse_cores trace (6 SPEs, one
+    // holding nearly all DMA traffic) with its model and intervals.
+    // Only the most recent size is kept, so memory peaks at one 2M
+    // record trace however the sizes are scheduled.
+    struct Input
+    {
+        std::uint64_t records;
+        ta::TraceModel model;
+        ta::IntervalSet ivs;
+    };
+    static std::unique_ptr<Input> in;
+    const auto records = static_cast<std::uint64_t>(state.range(0));
+    if (!in || in->records != records) {
+        in.reset();
+        trace::gen::GenOptions opt;
+        opt.seed = 1;
+        opt.scenario = static_cast<int>(trace::gen::Scenario::SparseCores);
+        opt.num_spes = 6;
+        opt.records = records;
+        ta::TraceModel model =
+            ta::TraceModel::build(trace::gen::generate(opt));
+        ta::IntervalSet ivs = ta::IntervalSet::build(model);
+        in = std::make_unique<Input>(records, std::move(model),
+                                     std::move(ivs));
+    }
+    for (auto _ : state) {
+        const ta::TraceStats st = ta::TraceStats::build(in->model, in->ivs);
+        benchmark::DoNotOptimize(st.total_records);
+    }
+    state.SetComplexityN(state.range(0));
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            state.range(0));
+}
+BENCHMARK(BM_StatsBuild)
+    ->Arg(250'000)
+    ->Arg(500'000)
+    ->Arg(1'000'000)
+    ->Arg(2'000'000)
+    ->Complexity()
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark regression gate over google-benchmark JSON output.
 
-Two checks, composable in one invocation:
+Three checks, composable in one invocation:
 
   Baseline compare (two files):
       bench-compare.py bench/baselines/BENCH_bench_v3_blocks.json \
@@ -24,6 +24,13 @@ Two checks, composable in one invocation:
     numbers of the machine at hand, so it is meaningful even on noisy
     shared runners where absolute baselines are not.
 
+  Complexity fit (--assert-complexity, works with one file):
+      bench-compare.py --assert-complexity build/BENCH_bench_ta_parallel.json
+    Every `*_BigO` row (a benchmark registered with ->Complexity())
+    must report a fit better than N^2: `big_o` of N^2 or N^3 fails,
+    and so does a file with no such row. Like --assert-decode, it
+    compares sizes within one run, so it holds on any host.
+
 Exit status: 0 clean, 1 any gate tripped, 2 usage/parse error.
 """
 
@@ -42,12 +49,20 @@ INFORMATIONAL = {"events", "blocks", "records", "v3_file_read_ms",
                  "v1_read_ms"}
 
 
-def load(path):
+# google-benchmark's complexity fits that fail --assert-complexity.
+SUPERLINEAR_FITS = {"N^2", "N^3"}
+
+
+def load_doc(path):
     try:
         with open(path) as f:
-            doc = json.load(f)
+            return json.load(f)
     except (OSError, ValueError) as e:
         sys.exit(f"bench-compare: cannot read {path}: {e}")
+
+
+def load(path):
+    doc = load_doc(path)
     out = {}
     for b in doc.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
@@ -130,12 +145,30 @@ def assert_decode(cur, slack):
     return failures
 
 
+def assert_complexity(doc):
+    failures = []
+    fits = [b for b in doc.get("benchmarks", [])
+            if b.get("name", "").endswith("_BigO")]
+    for b in fits:
+        big_o = b.get("big_o", "?")
+        ok = big_o not in SUPERLINEAR_FITS
+        print(f"complexity  {b['name']}: O({big_o})"
+              f"{'' if ok else '  FAIL'}")
+        if not ok:
+            failures.append(f"{b['name']}: fitted O({big_o}), "
+                            f"worse than N log N")
+    if not fits:
+        failures.append("no *_BigO row (no benchmark registered with "
+                        "->Complexity(), or wrong filter?)")
+    return failures
+
+
 def main():
     ap = argparse.ArgumentParser(
         description="google-benchmark JSON regression gate")
     ap.add_argument("files", nargs="+", metavar="JSON",
                     help="baseline.json current.json, or just current.json "
-                         "with --assert-decode")
+                         "with --assert-decode or --assert-complexity")
     ap.add_argument("--threshold", type=float, default=0.15,
                     help="max tolerated wall-time regression "
                          "(fraction, default 0.15)")
@@ -145,12 +178,17 @@ def main():
     ap.add_argument("--slack", type=float, default=1.0,
                     help="multiplier on v1_read_ms for --assert-decode "
                          "(default 1.0: decode must win outright)")
+    ap.add_argument("--assert-complexity", action="store_true",
+                    help="fail when any *_BigO row of the current (last) "
+                         "file fits N^2 or N^3")
     args = ap.parse_args()
 
     if len(args.files) not in (1, 2):
         ap.error("expected one or two JSON files")
-    if len(args.files) == 1 and not args.assert_decode:
-        ap.error("a single file only makes sense with --assert-decode")
+    if (len(args.files) == 1 and not args.assert_decode
+            and not args.assert_complexity):
+        ap.error("a single file only makes sense with --assert-decode "
+                 "or --assert-complexity")
 
     failures = []
     cur = load(args.files[-1])
@@ -158,6 +196,8 @@ def main():
         failures += compare(load(args.files[0]), cur, args.threshold)
     if args.assert_decode:
         failures += assert_decode(cur, args.slack)
+    if args.assert_complexity:
+        failures += assert_complexity(load_doc(args.files[-1]))
 
     if failures:
         print(f"\nbench-compare: {len(failures)} gate failure(s):",

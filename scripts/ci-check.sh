@@ -13,7 +13,9 @@
 # suites by CMakePresets.json, same as CI. --bench mirrors the CI
 # bench-gate job: Release-preset bench_v3_blocks diffed against the
 # committed bench/baselines/ (>15% wall regression fails) plus the
-# decode<=v1 invariant; it can be combined with presets or run alone.
+# decode<=v1 invariant, and bench-smoke's complexity check (the
+# statistics build must fit better than N^2); it can be combined with
+# presets or run alone.
 
 set -euo pipefail
 
@@ -105,7 +107,17 @@ if [ "$bench" -eq 1 ]; then
         gen=(-G Ninja)
     fi
     cmake --preset release ${gen[@]+"${gen[@]}"} ${launcher[@]+"${launcher[@]}"}
-    cmake --build --preset release -j "$jobs" --target bench_v3_blocks
+    cmake --build --preset release -j "$jobs" \
+        --target bench_v3_blocks bench_ta_parallel
+    # Host-independent (the fit compares sizes within one run), so it
+    # runs before the host-specific baseline compare below.
+    echo "==> bench gate: statistics build complexity"
+    (cd build-release && ./bench/bench_ta_parallel \
+        --benchmark_filter='BM_StatsBuild' \
+        --benchmark_out=BENCH_bench_ta_parallel.json \
+        --benchmark_out_format=json)
+    python3 scripts/bench-compare.py --assert-complexity \
+        build-release/BENCH_bench_ta_parallel.json
     echo "==> bench gate: run decode benchmarks"
     (cd build-release && ./bench/bench_v3_blocks \
         --benchmark_filter='FileDecode_|FileReadV1|BlockReaderMmap' \

@@ -6,6 +6,8 @@
 #include "ta/stats.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 
 namespace cell::ta {
@@ -17,9 +19,9 @@ Histogram::Histogram(unsigned bits) : buckets_(bits + 1, 0) {}
 void
 Histogram::add(std::uint64_t value)
 {
-    std::size_t b = 0;
-    while (b + 1 < buckets_.size() && bucketLo(b + 1) <= value)
-        ++b;
+    // Bucket b >= 1 holds [2^(b-1), 2^b), which is bit_width(value) == b.
+    const std::size_t b = std::min<std::size_t>(std::bit_width(value),
+                                                buckets_.size() - 1);
     buckets_[b] += 1;
     count_ += 1;
     sum_ += value;
@@ -43,25 +45,23 @@ Histogram::quantile(double q) const
     return max_;
 }
 
-// The wait scan below is quadratic, and its inner loop is sensitive to
-// where the linker places it: on a 4-vCPU Intel Xeon VM, `ta summary`
-// on bench/e2e's `skew` trace ran 15-20% slower with this function
-// starting 32 bytes past a 64-byte boundary than with it aligned. Pin
-// the alignment so that code added elsewhere in the library cannot
-// move the loop, until the scan is made linear.
-[[gnu::aligned(64)]] std::vector<DmaTransfer>
+std::vector<DmaTransfer>
 matchDmaTransfers(const IntervalSet& ivs, std::uint32_t spe)
 {
     const auto& intervals = ivs.per_core.at(spe + 1);
-    std::vector<const Interval*> waits;
+
+    // ends[tag]: sorted end ticks of the waits whose mask covers tag.
+    std::array<std::vector<std::uint64_t>, 32> ends;
     for (const Interval& iv : intervals) {
-        if (iv.cls == IntervalClass::DmaWait)
-            waits.push_back(&iv);
+        if (iv.cls != IntervalClass::DmaWait)
+            continue;
+        // a = requested mask; end_b = completed mask.
+        auto mask = static_cast<std::uint32_t>(iv.end_b ? iv.end_b : iv.a);
+        for (; mask != 0; mask &= mask - 1)
+            ends[std::countr_zero(mask)].push_back(iv.end_tb);
     }
-    std::sort(waits.begin(), waits.end(),
-              [](const Interval* x, const Interval* y) {
-                  return x->end_tb < y->end_tb;
-              });
+    for (auto& e : ends)
+        std::sort(e.begin(), e.end());
 
     std::vector<DmaTransfer> out;
     for (const Interval& iv : intervals) {
@@ -75,18 +75,12 @@ matchDmaTransfers(const IntervalSet& ivs, std::uint32_t spe)
         t.size = iv.c;
         t.tag = iv.d & 31u;
         t.issue_tb = iv.start_tb;
-        const std::uint32_t tag_bit = 1u << t.tag;
-        for (const Interval* w : waits) {
-            if (w->end_tb < iv.start_tb)
-                continue;
-            // a = requested mask; end_b = completed mask.
-            const auto mask =
-                static_cast<std::uint32_t>(w->end_b ? w->end_b : w->a);
-            if (mask & tag_bit) {
-                t.complete_tb = w->end_tb;
-                t.observed = true;
-                break;
-            }
+        // The earliest covering wait end at or after the issue.
+        const auto& e = ends[t.tag];
+        const auto it = std::lower_bound(e.begin(), e.end(), iv.start_tb);
+        if (it != e.end()) {
+            t.complete_tb = *it;
+            t.observed = true;
         }
         out.push_back(t);
     }

@@ -48,6 +48,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <ostream>
 #include <random>
 #include <thread>
 
@@ -78,6 +79,17 @@ struct SweepCase
     std::uint32_t buffer;
     bool double_buffered;
 };
+
+/** Prints a case by its fields, e.g. spes8_buf256_single.
+ *  gtest_discover_tests names each case after this text; gtest's
+ *  default would print the struct's bytes, padding included, so the
+ *  names changed from build to build. */
+void
+PrintTo(const SweepCase& c, std::ostream* os)
+{
+    *os << "spes" << c.spes << "_buf" << c.buffer
+        << (c.double_buffered ? "_double" : "_single");
+}
 
 class StackSweep : public ::testing::TestWithParam<SweepCase>
 {};

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 
 #include "pdt/tracer.h"
 #include "ta/analyzer.h"
@@ -21,6 +22,17 @@ struct WqCase
     std::uint32_t spes;
     bool dynamic;
 };
+
+/** Prints a case by its fields, e.g. items64_spes8_dynamic.
+ *  gtest_discover_tests names each case after this text; gtest's
+ *  default would print the struct's bytes, padding included, so the
+ *  names changed from build to build. */
+void
+PrintTo(const WqCase& c, std::ostream* os)
+{
+    *os << "items" << c.items << "_spes" << c.spes
+        << (c.dynamic ? "_dynamic" : "_static");
+}
 
 class WqP : public ::testing::TestWithParam<WqCase>
 {};
