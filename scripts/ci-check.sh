@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local mirror of .github/workflows/ci.yml: build + test the three
-# CMake presets, replay the fuzz corpus, check the golden digests, and
-# smoke-run bench/e2e.
+# CMake presets, replay the fuzz corpus, check thread parity and the
+# golden digests, and smoke-run bench/e2e.
 # Run from anywhere; everything lands in the preset build dirs
 # (build/, build-asan/, build-tsan/ — all gitignored).
 #
@@ -59,8 +59,8 @@ for p in ${presets[@]+"${presets[@]}"}; do
     ctest --preset "$p" -j "$jobs"
 done
 
-# The corpus replay, golden check and daemon soak need the
-# default-preset binaries.
+# The corpus replay, thread parity, golden check and daemon soak need
+# the default-preset binaries.
 case " ${presets[*]-} " in *" default "*)
     echo "==> fuzz corpus replay"
     build/tests/fuzz_reader tests/trace/corpus
@@ -74,6 +74,9 @@ case " ${presets[*]-} " in *" default "*)
     build/tools/trace_gen --sweep 16 --seed "${SWEEP_SEED:-1000}" \
         --adversarial --out-dir build/gen-sweep/adv
     build/tests/fuzz_reader build/gen-sweep/valid build/gen-sweep/adv
+    echo "==> thread parity (ta summary, 1 vs 4 threads, strict and salvage)"
+    scripts/thread-parity.sh build/tools/ta tests/trace/corpus \
+        build/gen-sweep/valid build/gen-sweep/adv
     echo "==> perturb-and-localize diff-corpus smoke"
     # Fresh A/B perturbation pairs through `ta diff-corpus`: output
     # must be byte-identical at 1 vs 4 threads and every injected

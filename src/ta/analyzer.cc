@@ -7,6 +7,8 @@
 
 #include <fstream>
 #include <iomanip>
+#include <memory>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -27,15 +29,46 @@ resolveThreads(unsigned threads)
                         : std::max(1u, std::thread::hardware_concurrency());
 }
 
-/** The parallel pipeline on @p pool: model, intervals, statistics. */
-Analysis
-analyzeOn(const trace::TraceData& trace, WorkerPool& pool, bool lenient,
-          const CancelToken* cancel)
+/** The model of @p trace: serial, or on a pool placed in @p pool when
+ *  @p opt asks for threads or carries a cancel token. */
+TraceModel
+modelOf(const trace::TraceData& trace, const AnalyzeOptions& opt,
+        std::optional<WorkerPool>& pool)
 {
-    Analysis a{buildModelParallel(trace, pool, lenient, 0, cancel), {}, {}};
-    a.intervals = buildIntervalsParallel(a.model, pool, cancel);
-    a.stats = buildStatsParallel(a.model, a.intervals, pool, cancel);
+    const unsigned threads = resolveThreads(opt.threads);
+    if (threads <= 1 && !opt.cancel)
+        return TraceModel::build(trace, opt.salvage);
+    // With a cancel token, even one thread runs the (output-identical)
+    // pipeline so the per-shard checkpoints can abort it.
+    pool.emplace(threads);
+    return buildModelParallel(trace, *pool, opt.salvage, 0, opt.cancel);
+}
+
+/** Intervals and statistics of @p model: on @p pool, or serially
+ *  when it is null. */
+Analysis
+deriveFrom(TraceModel&& model, WorkerPool* pool, const CancelToken* cancel)
+{
+    Analysis a{std::move(model), {}, {}};
+    if (pool) {
+        a.intervals = buildIntervalsParallel(a.model, *pool, cancel);
+        a.stats = buildStatsParallel(a.model, a.intervals, *pool, cancel);
+    } else {
+        a.intervals = IntervalSet::build(a.model);
+        a.stats = TraceStats::build(a.model, a.intervals);
+    }
     return a;
+}
+
+/** analyze() of a trace read for it: the records are freed as soon as
+ *  the model is built, before intervals and statistics allocate. */
+Analysis
+analyzeRead(trace::TraceData&& trace, const AnalyzeOptions& opt)
+{
+    std::optional<WorkerPool> pool;
+    TraceModel model = modelOf(trace, opt, pool);
+    trace = {};
+    return deriveFrom(std::move(model), pool ? &*pool : nullptr, opt.cancel);
 }
 
 } // namespace
@@ -43,17 +76,9 @@ analyzeOn(const trace::TraceData& trace, WorkerPool& pool, bool lenient,
 Analysis
 analyze(const trace::TraceData& trace, const AnalyzeOptions& opt)
 {
-    const unsigned threads = resolveThreads(opt.threads);
-    if (threads <= 1 && !opt.cancel) {
-        Analysis a{TraceModel::build(trace, opt.salvage), {}, {}};
-        a.intervals = IntervalSet::build(a.model);
-        a.stats = TraceStats::build(a.model, a.intervals);
-        return a;
-    }
-    // With a cancel token, even one thread runs the (output-identical)
-    // pipeline so the per-shard checkpoints can abort it.
-    WorkerPool pool(threads);
-    return analyzeOn(trace, pool, opt.salvage, opt.cancel);
+    std::optional<WorkerPool> pool;
+    TraceModel model = modelOf(trace, opt, pool);
+    return deriveFrom(std::move(model), pool ? &*pool : nullptr, opt.cancel);
 }
 
 Analysis
@@ -66,21 +91,20 @@ analyzeFile(const std::string& path, const AnalyzeOptions& opt)
         if (opt.cancel)
             opt.cancel->checkpoint("analyzeFile/salvage-read");
         trace::ReadReport local;
-        return analyze(
+        return analyzeRead(
             trace::readFileSalvage(path, opt.report ? *opt.report : local),
             opt);
     }
     const unsigned threads = resolveThreads(opt.threads);
     if (threads <= 1 && !opt.cancel)
-        return analyze(trace::readFile(path));
+        return analyzeRead(trace::readFile(path), opt);
 
     trace::ShardOptions sopt;
     sopt.target_shards = threads * 4;
     const trace::ShardPlan plan = trace::planShardsFile(path, sopt);
-    trace::TraceData data;
-    data.header = plan.header;
-    data.spe_programs = plan.spe_programs;
-    data.records.resize(static_cast<std::size_t>(plan.record_count));
+    // Not zero-filled: each shard reader first-touches its own slice.
+    const auto n = static_cast<std::size_t>(plan.record_count);
+    auto records = std::make_unique_for_overwrite<trace::Record[]>(n);
 
     WorkerPool pool(threads);
     pool.parallelFor(plan.shards.size(), [&](std::uint64_t s) {
@@ -90,10 +114,13 @@ analyzeFile(const std::string& path, const AnalyzeOptions& opt)
         if (!is)
             throw std::runtime_error("analyzeFile: cannot open " + path);
         trace::readShardInto(is, plan, static_cast<std::size_t>(s),
-                             data.records.data() +
-                                 plan.shards[s].first_record);
+                             records.get() + plan.shards[s].first_record);
     });
-    return analyzeOn(data, pool, /*lenient=*/false, opt.cancel);
+    TraceModel model = buildModelParallel(
+        plan.header, plan.spe_programs, {records.get(), n}, pool,
+        /*lenient=*/false, 0, opt.cancel);
+    records.reset();
+    return deriveFrom(std::move(model), &pool, opt.cancel);
 }
 
 std::string

@@ -75,6 +75,25 @@ IntervalMatcher::IntervalMatcher(std::uint16_t core,
 }
 
 void
+IntervalMatcher::reserve(std::size_t n)
+{
+    out_.reserve(n);
+    sequence_.reserve(n);
+}
+
+std::size_t
+IntervalMatcher::open(IntervalClass cls, ApiOp op, const Event& ev)
+{
+    Interval& i = out_.emplace_back();
+    i.cls = cls;
+    i.op = op;
+    i.core = core_;
+    i.start_tb = i.end_tb = ev.time_tb;
+    sequence_.push_back(kOpen);
+    return out_.size() - 1;
+}
+
+void
 IntervalMatcher::feed(const Event& ev)
 {
     final_epoch_ = ev.epoch;
@@ -83,68 +102,56 @@ IntervalMatcher::feed(const Event& ev)
     const ApiOp op = ev.op();
 
     if (op == ApiOp::SpuStart) {
-        run_start_ = ev;
-        have_run_start_ = true;
+        // A second SpuStart abandons the first one's slot.
+        run_ = {open(IntervalClass::Run, ApiOp::SpuStart, ev), ev.epoch};
         phantom_run_ = false;
         return;
     }
     if (op == ApiOp::SpuStop) {
-        if (!have_run_start_ && phantom_run_) {
+        if (run_.slot == kNoSlot && phantom_run_) {
             // The run started before the resume point.
             phantom_run_ = false;
             return;
         }
-        Interval run;
-        run.cls = IntervalClass::Run;
-        run.op = ApiOp::SpuStart;
-        run.core = core_;
-        run.start_tb = have_run_start_ ? run_start_.time_tb : ev.time_tb;
+        const bool started = run_.slot != kNoSlot;
+        const std::size_t slot =
+            started ? run_.slot : open(IntervalClass::Run, ApiOp::SpuStart, ev);
+        Interval& run = out_[slot];
         run.end_tb = ev.time_tb;
         run.a = ev.a; // exit code
-        run.truncated = !have_run_start_;
-        run.gap = have_run_start_ && run_start_.epoch != ev.epoch;
-        out_.push_back(run);
-        have_run_start_ = false;
+        run.truncated = !started;
+        run.gap = started && run_.epoch != ev.epoch;
+        emit(slot);
+        run_ = {};
         return;
     }
 
     const auto idx = static_cast<std::size_t>(op);
     const std::uint64_t bit = std::uint64_t{1} << idx;
+    const IntervalClass cls = classifyOp(op);
     if (ev.isBegin()) {
-        // Single-marker events (user events, decrementer ops) have no
-        // End; emit a zero-length interval directly.
-        const auto cls = classifyOp(op);
+        const std::size_t slot = open(cls, op, ev);
+        Interval& i = out_[slot];
+        i.a = ev.a;
+        i.b = ev.b;
+        i.c = ev.c;
+        i.d = ev.d;
         if (cls == IntervalClass::Other) {
-            Interval i;
-            i.cls = cls;
-            i.op = op;
-            i.core = core_;
-            i.start_tb = i.end_tb = ev.time_tb;
-            i.a = ev.a;
-            i.b = ev.b;
-            i.c = ev.c;
-            i.d = ev.d;
-            out_.push_back(i);
+            // Single-marker events (user events, decrementer ops) have
+            // no End: the zero-length interval is complete at once.
+            emit(slot);
         } else {
-            pending_[idx] = ev;
+            // A Begin still pending for this op is abandoned.
+            pending_[idx] = {slot, ev.epoch};
             phantom_ops_ &= ~bit;
         }
         return;
     }
 
-    Interval i;
-    i.cls = classifyOp(op);
-    i.op = op;
-    i.core = core_;
-    if (pending_[idx]) {
-        const Event& b = *pending_[idx];
-        i.start_tb = b.time_tb;
-        i.a = b.a;
-        i.b = b.b;
-        i.c = b.c;
-        i.d = b.d;
-        i.gap = b.epoch != ev.epoch;
-        pending_[idx].reset();
+    std::size_t slot = pending_[idx].slot;
+    if (slot != kNoSlot) {
+        out_[slot].gap = pending_[idx].epoch != ev.epoch;
+        pending_[idx] = {};
     } else if (phantom_ops_ & bit) {
         // The Begin lies before the resume point.
         phantom_ops_ &= ~bit;
@@ -152,65 +159,89 @@ IntervalMatcher::feed(const Event& ev)
     } else {
         // End without Begin (Begin filtered out?): degrade to a
         // zero-length interval at the End time.
-        i.start_tb = ev.time_tb;
-        i.truncated = true;
+        slot = open(cls, op, ev);
+        out_[slot].truncated = true;
     }
-    i.end_tb = ev.time_tb;
-    i.end_b = ev.b;
-    out_.push_back(i);
+    out_[slot].end_tb = ev.time_tb;
+    out_[slot].end_b = ev.b;
+    emit(slot);
 }
 
 void
 IntervalMatcher::finish(std::uint64_t last_time)
 {
-    for (const auto& p : pending_) {
-        if (!p)
+    for (Pending& p : pending_) {
+        if (p.slot == kNoSlot)
             continue;
-        Interval i;
-        i.cls = classifyOp(p->op());
-        i.op = p->op();
-        i.core = core_;
-        i.start_tb = p->time_tb;
+        Interval& i = out_[p.slot];
         i.end_tb = last_time;
-        i.a = p->a;
-        i.b = p->b;
-        i.c = p->c;
-        i.d = p->d;
         i.truncated = true;
-        i.gap = p->epoch != final_epoch_;
-        out_.push_back(i);
+        i.gap = p.epoch != final_epoch_;
+        emit(p.slot);
+        p = {};
     }
-    if (have_run_start_) {
-        Interval run;
-        run.cls = IntervalClass::Run;
-        run.op = ApiOp::SpuStart;
-        run.core = core_;
-        run.start_tb = run_start_.time_tb;
+    if (run_.slot != kNoSlot) {
+        Interval& run = out_[run_.slot];
         run.end_tb = last_time;
         run.truncated = true;
-        run.gap = run_start_.epoch != final_epoch_;
-        out_.push_back(run);
+        run.gap = run_.epoch != final_epoch_;
+        emit(run_.slot);
+        run_ = {};
     }
 }
 
 bool
 IntervalMatcher::pendingIn(std::uint64_t from, std::uint64_t to) const
 {
-    for (const auto& p : pending_) {
-        if (p && p->time_tb >= from && p->time_tb < to)
-            return true;
-    }
-    return have_run_start_ && run_start_.time_tb >= from &&
-           run_start_.time_tb < to;
+    const auto in = [&](const Pending& p) {
+        return p.slot != kNoSlot && out_[p.slot].start_tb >= from &&
+               out_[p.slot].start_tb < to;
+    };
+    return std::any_of(pending_.begin(), pending_.end(), in) || in(run_);
 }
 
 std::vector<Interval>
 IntervalMatcher::take()
 {
-    std::stable_sort(out_.begin(), out_.end(),
-                     [](const Interval& x, const Interval& y) {
-                         return x.start_tb < y.start_tb;
-                     });
+    // Drop the slots that were never emitted.
+    std::size_t n = static_cast<std::size_t>(
+        std::find(sequence_.begin(), sequence_.end(), kOpen) -
+        sequence_.begin());
+    for (std::size_t k = n; k < out_.size(); ++k) {
+        if (sequence_[k] == kOpen)
+            continue;
+        out_[n] = out_[k];
+        sequence_[n] = sequence_[k];
+        ++n;
+    }
+    out_.resize(n);
+    sequence_.resize(n);
+
+    // Order by (start, emission sequence). An insertion sort costs
+    // O(n + inversions); fed in time order, only runs of equal starts
+    // can be out of emission order, and a slot is passed only by slots
+    // that were open when it was emitted — at most one per op plus the
+    // run — so it stays linear.
+    const auto before = [this](std::uint64_t start, std::uint64_t seq,
+                               std::size_t y) {
+        return start != out_[y].start_tb ? start < out_[y].start_tb
+                                         : seq < sequence_[y];
+    };
+    for (std::size_t k = 1; k < n; ++k) {
+        if (!before(out_[k].start_tb, sequence_[k], k - 1))
+            continue;
+        const Interval iv = out_[k];
+        const std::uint64_t seq = sequence_[k];
+        std::size_t j = k;
+        do {
+            out_[j] = out_[j - 1];
+            sequence_[j] = sequence_[j - 1];
+            --j;
+        } while (j > 0 && before(iv.start_tb, seq, j - 1));
+        out_[j] = iv;
+        sequence_[j] = seq;
+    }
+    sequence_.clear();
     return std::move(out_);
 }
 
@@ -218,6 +249,7 @@ std::vector<Interval>
 buildCoreIntervals(const CoreTimeline& tl)
 {
     IntervalMatcher m(tl.core);
+    m.reserve(tl.events.size());
     for (const Event& ev : tl.events)
         m.feed(ev);
     m.finish(tl.empty() ? 0 : tl.lastTime());

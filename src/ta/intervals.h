@@ -14,8 +14,8 @@
 #define CELL_TA_INTERVALS_H
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "ta/model.h"
@@ -105,6 +105,18 @@ IntervalClass classifyOp(rt::ApiOp op);
  * before the resume point. A phantom's End is consumed without
  * emitting, since its interval started before the resume point, and a
  * real Begin replaces the phantom.
+ *
+ * Output order: every interval gets its slot in the output when it
+ * starts — at its Begin, at SpuStart for the run, at the event itself
+ * for the zero-length ones — and is filled in when it ends. Fed events
+ * in time order, slots are therefore already in start order. At equal
+ * start ticks the interval that ended first comes first (emission
+ * order, the order a stable sort by start of End-ordered output gives),
+ * so take() insertion-sorts on (start, emission sequence), which moves
+ * only runs of equal starts.
+ * A slot that never closes — a Begin replaced by a second Begin of its
+ * op, or a pending left open when a window replay stops early — emits
+ * nothing and is dropped.
  */
 class IntervalMatcher
 {
@@ -115,6 +127,10 @@ class IntervalMatcher
     explicit IntervalMatcher(std::uint16_t core,
                              std::uint64_t phantom_ops = 0,
                              bool phantom_run = false);
+
+    /** Room for @p n intervals. Each event opens at most one, so a
+     *  stream's event count bounds its intervals. */
+    void reserve(std::size_t n);
 
     /** Feed the core's next event, placed and clamped. */
     void feed(const Event& ev);
@@ -127,21 +143,42 @@ class IntervalMatcher
      *  [from, to): an interval starting there is yet to be emitted. */
     bool pendingIn(std::uint64_t from, std::uint64_t to) const;
 
-    /** The emitted intervals, stable-sorted by start time: at equal
-     *  starts, emission order (End order) wins. */
+    /** The emitted intervals sorted by start time: at equal starts,
+     *  emission order (End order) wins. Linear for a feed in time
+     *  order; one out of order costs O(inversions) more. */
     std::vector<Interval> take();
 
   private:
+    static constexpr std::size_t kNoSlot = ~std::size_t{0};
+    static constexpr std::uint64_t kOpen = ~std::uint64_t{0};
+
+    /** An interval started but not yet ended: its slot in out_ and the
+     *  drop epoch of its start. */
+    struct Pending
+    {
+        std::size_t slot = kNoSlot;
+        std::uint32_t epoch = 0;
+    };
+
+    /** Append the slot of an interval starting (and, until filled in,
+     *  ending) at @p ev. */
+    std::size_t open(IntervalClass cls, rt::ApiOp op, const Event& ev);
+    /** Record that @p slot's interval is complete: it is emitted. */
+    void emit(std::size_t slot) { sequence_[slot] = next_sequence_++; }
+
     std::uint16_t core_;
     std::uint64_t phantom_ops_;
     bool phantom_run_;
-    std::array<std::optional<Event>, rt::kNumApiOps> pending_;
-    Event run_start_{};
-    bool have_run_start_ = false;
+    std::array<Pending, rt::kNumApiOps> pending_{};
+    Pending run_{};
     /** Epoch of the newest event seen (tool records included):
      *  intervals closed by finish() compare against it. */
     std::uint32_t final_epoch_ = 0;
+    /** Intervals in slot (start) order, and per slot its emission
+     *  sequence, or kOpen while it has not been emitted. */
     std::vector<Interval> out_;
+    std::vector<std::uint64_t> sequence_;
+    std::uint64_t next_sequence_ = 0;
 };
 
 /** Extract one core's intervals, sorted by start time. Cores are

@@ -8,22 +8,24 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "ta/parallel.h"
 #include "trace/replay.h"
 
 namespace cell::ta {
 
 std::vector<CoreTimeline>
-TraceModel::emptyTimelines(const trace::TraceData& trace)
+TraceModel::emptyTimelines(std::uint32_t num_spes,
+                           const std::vector<std::string>& spe_programs)
 {
-    std::vector<CoreTimeline> cores(trace.header.num_spes + 1);
+    std::vector<CoreTimeline> cores(num_spes + 1);
     cores[0].core = 0;
     cores[0].label = "PPE";
-    for (std::uint32_t i = 0; i < trace.header.num_spes; ++i) {
+    for (std::uint32_t i = 0; i < num_spes; ++i) {
         auto& tl = cores[i + 1];
         tl.core = static_cast<std::uint16_t>(i + 1);
         tl.label = "SPE" + std::to_string(i);
-        if (i < trace.spe_programs.size() && !trace.spe_programs[i].empty())
-            tl.label += " (" + trace.spe_programs[i] + ")";
+        if (i < spe_programs.size() && !spe_programs[i].empty())
+            tl.label += " (" + spe_programs[i] + ")";
     }
     return cores;
 }
@@ -32,7 +34,18 @@ TraceModel
 TraceModel::build(const trace::TraceData& trace, bool lenient)
 {
     const std::uint32_t n_cores = trace.header.num_spes + 1;
-    std::vector<CoreTimeline> cores = emptyTimelines(trace);
+    std::vector<CoreTimeline> cores =
+        emptyTimelines(trace.header.num_spes, trace.spe_programs);
+
+    // Count each core's placeable records first, by the count the
+    // parallel builder sizes its slices by, so every timeline is
+    // allocated once, at its exact size.
+    const scan::RangeScan whole =
+        scan::scanRange(trace.records, 0, trace.records.size(), n_cores);
+    for (std::uint32_t c = 0; c < n_cores; ++c)
+        cores[c].events.reserve(
+            scan::placedEvents(whole.cores[c], /*have_sync=*/false));
+
     std::vector<trace::ClockReplay> clocks(n_cores);
     std::uint64_t skipped = 0;
 

@@ -93,7 +93,7 @@ class TraceModel
 
     /**
      * Assemble a model from built timelines (the last step of build(),
-     * of the parallel builder's merge stage, and of windowAnalysis).
+     * of the parallel builder, and of windowAnalysis).
      * @p cores must already be in canonical form: indexed by core id,
      * labeled, and with per-core non-decreasing event times — assemble
      * only derives the global start/end span.
@@ -102,10 +102,12 @@ class TraceModel
                                std::vector<CoreTimeline>&& cores,
                                std::uint64_t leniency_skipped);
 
-    /** Empty, labeled timelines for @p trace — the canonical shells
-     *  both the serial and parallel builders fill. */
+    /** Empty, labeled timelines for a trace of @p num_spes SPEs —
+     *  the canonical shells both the serial and parallel builders
+     *  fill. */
     static std::vector<CoreTimeline>
-    emptyTimelines(const trace::TraceData& trace);
+    emptyTimelines(std::uint32_t num_spes,
+                   const std::vector<std::string>& spe_programs);
 
     const trace::Header& header() const { return header_; }
 

@@ -8,21 +8,28 @@
  *  - COMBINE folds them strictly left-to-right, so the clock state
  *    entering shard s is exactly the state the serial builder holds
  *    after record s*shard_records - 1.
- *  - EMIT replays the serial per-record loop verbatim from that state;
- *    per-(shard, core) event runs are therefore the exact slices of
- *    the serial per-core timelines.
- *  - MERGE concatenates the slices in shard order — which is stream
- *    order — and applies the same monotonic clamp, so the timelines,
- *    and everything derived from them, are identical to serial.
+ *  - The same fold tells how many records of each (shard, core) slice
+ *    place: all of the core's records when a sync precedes the shard,
+ *    else all but those before the shard's first sync of that core.
+ *    Prefix sums over shards give each slice's offset in the core's
+ *    exactly-sized timeline.
+ *  - EMIT replays the serial per-record loop verbatim from that state
+ *    into the slice, so slices laid end to end in shard order — which
+ *    is stream order — are the serial per-core timelines.
+ *  - CLAMP applies the serial builder's monotonic clamp per core, so
+ *    the timelines, and everything derived from them, are identical
+ *    to serial.
  *
- * Threads only ever write disjoint state (their own shard's summary /
- * event runs, their own core's timeline, intervals, or stats slots);
- * phases are separated by the pool's completion barrier.
+ * Threads only ever write disjoint state (their own shard's summary,
+ * their own slices of the timelines, their own core's clamp,
+ * intervals, or stats slots); phases are separated by the pool's
+ * completion barrier.
  */
 
 #include "ta/parallel.h"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 #include "trace/replay.h"
@@ -40,13 +47,13 @@ constexpr std::uint64_t kNone = ~std::uint64_t{0};
 } // namespace
 
 RangeScan
-scanRange(const trace::TraceData& trace, std::uint64_t first,
+scanRange(std::span<const trace::Record> records, std::uint64_t first,
           std::uint64_t count, std::uint32_t n_cores)
 {
     RangeScan rs;
     rs.cores.resize(n_cores);
     for (std::uint64_t i = first; i < first + count; ++i) {
-        const trace::Record& rec = trace.records[i];
+        const trace::Record& rec = records[i];
         if (rec.core >= n_cores) {
             rs.bad_core_records += 1;
             if (rs.first_bad_core_index == kNone)
@@ -54,6 +61,7 @@ scanRange(const trace::TraceData& trace, std::uint64_t first,
             continue;
         }
         CoreScan& cs = rs.cores[rec.core];
+        cs.records += 1;
         if (rec.kind == trace::kSyncRecord) {
             cs.saw_sync = true;
             cs.last_sync_raw = static_cast<std::uint32_t>(rec.a);
@@ -99,8 +107,15 @@ combine(RangeScan& into, const RangeScan& next)
             a.last_sync_raw = b.last_sync_raw;
             a.last_sync_tb = b.last_sync_tb;
         }
+        a.records += b.records;
         a.drops_total += b.drops_total;
     }
+}
+
+std::uint64_t
+placedEvents(const CoreScan& cs, bool have_sync)
+{
+    return cs.records - (have_sync ? 0 : cs.records_before_sync);
 }
 
 } // namespace scan
@@ -111,43 +126,46 @@ combine(RangeScan& into, const RangeScan& next)
 
 namespace {
 
-/** Clock state after the records summarized by @p prefix. */
-std::vector<trace::ClockReplay>
-clockStatesFrom(const scan::RangeScan& prefix)
+/** Clock state after the records @p cs summarizes. */
+trace::ClockReplay
+clockStateAfter(const scan::CoreScan& cs)
 {
-    std::vector<trace::ClockReplay> states(prefix.cores.size());
-    for (std::size_t c = 0; c < states.size(); ++c) {
-        const scan::CoreScan& cs = prefix.cores[c];
-        trace::ClockReplay& st = states[c];
-        st.have_sync = cs.saw_sync;
-        st.sync_raw = cs.last_sync_raw;
-        st.sync_tb = cs.last_sync_tb;
-        // Only drops after the first-ever sync bump the epoch.
-        st.epoch =
-            static_cast<std::uint32_t>(cs.drops_total - cs.drops_before_sync);
-    }
-    return states;
+    trace::ClockReplay st;
+    st.have_sync = cs.saw_sync;
+    st.sync_raw = cs.last_sync_raw;
+    st.sync_tb = cs.last_sync_tb;
+    // Only drops after the first-ever sync bump the epoch.
+    st.epoch =
+        static_cast<std::uint32_t>(cs.drops_total - cs.drops_before_sync);
+    return st;
 }
 
 /** Replay records [first, first+count) from @p clocks, the clock
- *  state entering the range, into per-core event runs. */
-std::vector<std::vector<Event>>
-emitRange(const trace::TraceData& trace, std::uint64_t first,
-          std::uint64_t count, std::vector<trace::ClockReplay> clocks)
+ *  state entering the range, writing core c's events to timeline[c]
+ *  at indices [start[c], end[c]): the slice sized for them. */
+void
+emitRange(std::span<const trace::Record> records, std::uint64_t first,
+          std::uint64_t count, std::uint32_t n_cores,
+          trace::ClockReplay* clocks, const std::uint64_t* start,
+          [[maybe_unused]] const std::uint64_t* end, Event* const* timeline)
 {
-    const auto n_cores = static_cast<std::uint32_t>(clocks.size());
-    std::vector<std::vector<Event>> out(n_cores);
+    std::vector<std::uint64_t> next(start, start + n_cores);
     for (std::uint64_t i = first; i < first + count; ++i) {
-        const trace::Record& rec = trace.records[i];
+        const trace::Record& rec = records[i];
         if (rec.core >= n_cores)
             continue; // accounted in phase 2 (or thrown, strict)
         trace::ClockReplay& clk = clocks[rec.core];
         std::uint64_t t = 0;
         if (!clk.feed(rec, t))
             continue; // accounted in phase 2 (or thrown, strict)
-        out[rec.core].push_back(Event::placed(rec, t, clk.epoch));
+        // scan::placedEvents and ClockReplay::feed must agree on which
+        // records place, or the slice over- or underflows.
+        assert(next[rec.core] < end[rec.core]);
+        timeline[rec.core][next[rec.core]++] =
+            Event::placed(rec, t, clk.epoch);
     }
-    return out;
+    for (std::uint32_t c = 0; c < n_cores; ++c)
+        assert(next[c] == end[c]);
 }
 
 } // namespace
@@ -157,9 +175,21 @@ buildModelParallel(const trace::TraceData& trace, WorkerPool& pool,
                    bool lenient, std::uint64_t shard_records,
                    const CancelToken* cancel)
 {
+    return buildModelParallel(trace.header, trace.spe_programs,
+                              trace.records, pool, lenient, shard_records,
+                              cancel);
+}
+
+TraceModel
+buildModelParallel(const trace::Header& header,
+                   const std::vector<std::string>& spe_programs,
+                   std::span<const trace::Record> records, WorkerPool& pool,
+                   bool lenient, std::uint64_t shard_records,
+                   const CancelToken* cancel)
+{
     constexpr std::uint64_t kNone = ~std::uint64_t{0};
-    const std::uint32_t n_cores = trace.header.num_spes + 1;
-    const std::uint64_t n = trace.records.size();
+    const std::uint32_t n_cores = header.num_spes + 1;
+    const std::uint64_t n = records.size();
     if (shard_records == 0) {
         const std::uint64_t target = std::uint64_t{pool.threads()} * 8;
         shard_records = std::max<std::uint64_t>(4096, (n + target - 1) /
@@ -174,18 +204,27 @@ buildModelParallel(const trace::TraceData& trace, WorkerPool& pool,
         if (cancel)
             cancel->checkpoint("buildModelParallel/scan");
         const std::uint64_t first = s * shard_records;
-        scans[s] = scan::scanRange(trace, first,
+        scans[s] = scan::scanRange(records, first,
                                    std::min(shard_records, n - first),
                                    n_cores);
     });
 
     // Phase 2: fold summaries left to right; record the exact clock
-    // state entering each shard.
-    std::vector<std::vector<trace::ClockReplay>> entry(n_shards);
+    // state entering each shard (entry[s * n_cores + c]) and where each
+    // (shard, core) slice starts in its core's timeline (start[...]).
+    std::vector<trace::ClockReplay> entry(n_shards * n_cores);
+    std::vector<std::uint64_t> start(n_shards * n_cores);
+    std::vector<std::uint64_t> core_events(n_cores, 0);
     scan::RangeScan prefix;
     prefix.cores.resize(n_cores);
     for (std::uint64_t s = 0; s < n_shards; ++s) {
-        entry[s] = clockStatesFrom(prefix);
+        for (std::uint32_t c = 0; c < n_cores; ++c) {
+            trace::ClockReplay& st = entry[s * n_cores + c];
+            st = clockStateAfter(prefix.cores[c]);
+            start[s * n_cores + c] = core_events[c];
+            core_events[c] +=
+                scan::placedEvents(scans[s].cores[c], st.have_sync);
+        }
         scan::combine(prefix, scans[s]);
     }
 
@@ -216,37 +255,37 @@ buildModelParallel(const trace::TraceData& trace, WorkerPool& pool,
         }
     }
 
-    // Phase 3: emit per-shard, per-core event runs.
-    std::vector<std::vector<std::vector<Event>>> emitted(n_shards);
+    // Phase 3: size every timeline once (resize value-initializes it,
+    // one thread per core), then emit each shard over its slices; a
+    // slice ends where the next shard's begins.
+    std::vector<CoreTimeline> cores =
+        TraceModel::emptyTimelines(header.num_spes, spe_programs);
+    std::vector<Event*> timeline(n_cores);
+    pool.parallelFor(n_cores, [&](std::uint64_t c) {
+        cores[c].events.resize(core_events[c]);
+        timeline[c] = cores[c].events.data();
+    });
     pool.parallelFor(n_shards, [&](std::uint64_t s) {
         if (cancel)
             cancel->checkpoint("buildModelParallel/emit");
         const std::uint64_t first = s * shard_records;
-        emitted[s] = emitRange(trace, first, std::min(shard_records, n - first),
-                               entry[s]);
+        emitRange(records, first, std::min(shard_records, n - first),
+                  n_cores, &entry[s * n_cores], &start[s * n_cores],
+                  s + 1 < n_shards ? &start[(s + 1) * n_cores]
+                                   : core_events.data(),
+                  timeline.data());
     });
 
-    // Phase 4: merge in canonical (core, shard) order + monotonic
-    // clamp — shard order is stream order, so each core's event
-    // sequence equals the serial builder's.
-    std::vector<CoreTimeline> cores = TraceModel::emptyTimelines(trace);
+    // Phase 4: the serial builder's monotonic clamp, per core.
     pool.parallelFor(n_cores, [&](std::uint64_t c) {
-        auto& events = cores[c].events;
-        std::size_t total = 0;
-        for (std::uint64_t s = 0; s < n_shards; ++s)
-            total += emitted[s][c].size();
-        events.reserve(total);
-        for (std::uint64_t s = 0; s < n_shards; ++s)
-            events.insert(events.end(), emitted[s][c].begin(),
-                          emitted[s][c].end());
         std::uint64_t prev = 0;
-        for (Event& ev : events) {
+        for (Event& ev : cores[c].events) {
             if (ev.time_tb < prev)
                 ev.time_tb = prev;
             prev = ev.time_tb;
         }
     });
-    return TraceModel::assemble(trace.header, std::move(cores), leniency);
+    return TraceModel::assemble(header, std::move(cores), leniency);
 }
 
 IntervalSet

@@ -1,26 +1,30 @@
 /**
  * @file
- * Parallel trace analysis: a work-stealing worker pool plus a sharded,
- * three-phase TraceModel builder and per-core parallel interval /
- * statistics construction.
+ * Parallel trace analysis: a work-stealing worker pool plus a sharded
+ * TraceModel builder and per-core parallel interval / statistics
+ * construction.
  *
  * Pipeline (docs/MODEL.md "Parallel analysis" has the full story):
  *
  *   1. SCAN (parallel)    — each shard (a contiguous record range) is
  *      scanned into a per-core summary: last sync seen, drop-marker
- *      counts split around the shard's first sync, records that
- *      precede any sync. The summary is a transfer function over the
- *      per-core clock state, independent of what came before.
+ *      counts split around the shard's first sync, the core's records
+ *      and those that precede any sync. The summary is a transfer
+ *      function over the per-core clock state, independent of what
+ *      came before.
  *   2. COMBINE (serial, O(shards x cores)) — summaries fold left to
  *      right into the exact clock state entering every shard. The
  *      fold is associative (property-tested), so any shard split of a
- *      trace yields the same states.
+ *      trace yields the same states. The same fold gives the number of
+ *      events each (shard, core) slice places, so every core's
+ *      timeline is sized exactly, once, and each slice's offset in it
+ *      is a prefix sum.
  *   3. EMIT (parallel)    — each shard replays the serial per-record
- *      loop from its incoming state, producing per-core event runs.
- *   4. MERGE (parallel per core) — runs concatenate in canonical
- *      (core, shard) order — shard order IS stream order, so per-core
- *      event order equals the serial builder's — then the same
- *      monotonic-clamp pass runs per core.
+ *      loop from its incoming state, writing each event straight into
+ *      its slice of the core's timeline. Shard order is stream order,
+ *      so per-core event order equals the serial builder's.
+ *   4. CLAMP (parallel per core) — the serial builder's monotonic
+ *      clamp, run over each finished timeline.
  *
  * Intervals and statistics then build per core in parallel, through
  * the very same per-core functions the serial path uses.
@@ -44,6 +48,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "ta/analyzer.h"
@@ -63,8 +69,19 @@ using util::WorkerPool;
 /** Parallel equivalent of TraceModel::build — identical output.
  *  @p shard_records: records per shard; 0 derives one from the thread
  *  count. Small values are legal (tests use them to force many
- *  shards). @p cancel is polled per shard. */
+ *  shards). @p cancel is polled per shard. Every core's timeline is
+ *  allocated once, at its exact size. */
 TraceModel buildModelParallel(const trace::TraceData& trace,
+                              WorkerPool& pool, bool lenient = false,
+                              std::uint64_t shard_records = 0,
+                              const CancelToken* cancel = nullptr);
+
+/** The same over a bare record array, for callers that hold the
+ *  records outside a TraceData: analyzeFile's sharded ingest reads
+ *  into storage it never zero-fills and frees once the model exists. */
+TraceModel buildModelParallel(const trace::Header& header,
+                              const std::vector<std::string>& spe_programs,
+                              std::span<const trace::Record> records,
                               WorkerPool& pool, bool lenient = false,
                               std::uint64_t shard_records = 0,
                               const CancelToken* cancel = nullptr);
@@ -82,7 +99,8 @@ TraceStats buildStatsParallel(const TraceModel& model,
 /**
  * Internals of the scan/combine phases, exposed so property tests can
  * check the invariants the pipeline rests on (split-invariance and
- * associativity of combine). Not part of the stable API.
+ * associativity of combine), and so TraceModel::build sizes its
+ * timelines by the same count. Not part of the stable API.
  */
 namespace scan {
 
@@ -92,6 +110,8 @@ struct CoreScan
     bool saw_sync = false;
     std::uint32_t last_sync_raw = 0;
     std::uint64_t last_sync_tb = 0;
+    /** This core's records in the range, sync records included. */
+    std::uint64_t records = 0;
     /** Drop markers in the range (all of them). */
     std::uint64_t drops_total = 0;
     /** Drop markers before the range's first sync record (==
@@ -115,13 +135,20 @@ struct RangeScan
     bool operator==(const RangeScan&) const = default;
 };
 
-/** Scan records [first, first+count) of @p trace. */
-RangeScan scanRange(const trace::TraceData& trace, std::uint64_t first,
-                    std::uint64_t count, std::uint32_t n_cores);
+/** Scan records [first, first+count) of @p records. */
+RangeScan scanRange(std::span<const trace::Record> records,
+                    std::uint64_t first, std::uint64_t count,
+                    std::uint32_t n_cores);
 
 /** Fold @p next (the range immediately after) into @p into.
  *  Associative: combine(combine(a,b),c) == combine(a,combine(b,c)). */
 void combine(RangeScan& into, const RangeScan& next);
+
+/** Events one core's records in the range place, entering it with
+ *  (@p have_sync) or without a sync seen on the core: without one, the
+ *  records before the range's first sync cannot be placed (lenient mode
+ *  skips them; strict mode throws before anything is placed). */
+std::uint64_t placedEvents(const CoreScan& cs, bool have_sync);
 
 } // namespace scan
 

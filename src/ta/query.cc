@@ -390,12 +390,8 @@ queryWindowFile(const std::string& path, std::uint64_t from,
     r.to = to;
     r.header = plan.header;
     r.used_index = true;
-    {
-        trace::TraceData shell;
-        shell.header = plan.header;
-        shell.spe_programs = plan.spe_programs;
-        r.cores = TraceModel::emptyTimelines(shell);
-    }
+    r.cores =
+        TraceModel::emptyTimelines(plan.header.num_spes, plan.spe_programs);
     r.intervals.resize(r.cores.size());
 
     BlockCache& cache = opt.cache ? *opt.cache : sharedBlockCache();

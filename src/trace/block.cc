@@ -827,11 +827,18 @@ decodeBlockBody(const BlockHeader& hdr, const std::uint8_t* body,
 void
 decodeBlockBodyInto(const BlockHeader& hdr, const std::uint8_t* body,
                     std::size_t body_len, std::uint32_t capacity,
-                    Record* dst)
+                    std::uint64_t index, std::uint64_t count, Record* dst)
 {
-    const std::uint64_t seeds_bytes =
-        validateBlockBody(hdr, body, body_len, capacity);
-    decodePayloadInto(hdr, body + seeds_bytes, dst);
+    try {
+        const std::uint64_t seeds_bytes =
+            validateBlockBody(hdr, body, body_len, capacity);
+        decodePayloadInto(hdr, body + seeds_bytes, dst);
+    } catch (const std::runtime_error& e) {
+        throw std::runtime_error(
+            std::string(e.what()) + " (block " + std::to_string(index) +
+            " of " + std::to_string(count) +
+            "); --salvage recovers the decodable blocks");
+    }
 }
 
 // -------------------------------------------------------------------------

@@ -235,11 +235,14 @@ void decodeBlockBody(const BlockHeader& hdr, const std::uint8_t* body,
  * hdr.record_count records are written straight into @p dst (caller
  * owns at least that much storage) with no intermediate buffers, and
  * the seeds are checksummed but not copied out. This is the strict
- * read path — one resize of TraceData::records, then every block
- * decodes in place.
+ * read path — the serial reader and the sharded one decode every
+ * block in place through it. A damaged body throws naming the block
+ * (@p index of @p count) and pointing at --salvage, so both readers
+ * report it in the same words.
  */
 void decodeBlockBodyInto(const BlockHeader& hdr, const std::uint8_t* body,
                          std::size_t body_len, std::uint32_t capacity,
+                         std::uint64_t index, std::uint64_t count,
                          Record* dst);
 
 /**

@@ -220,16 +220,9 @@ readBlocksStrict(Reader& in, TraceData& trace)
             in.read(body.data(), body.size());
             bp = body.data();
         }
-        try {
-            decodeBlockBodyInto(bh, bp, static_cast<std::size_t>(body_len),
-                                rh.block_capacity,
-                                trace.records.data() + next_first);
-        } catch (const std::runtime_error& e) {
-            throw std::runtime_error(
-                std::string(e.what()) + " (block " + std::to_string(b) +
-                " of " + std::to_string(rh.block_count) +
-                "); --salvage recovers the decodable blocks");
-        }
+        decodeBlockBodyInto(bh, bp, static_cast<std::size_t>(body_len),
+                            rh.block_capacity, b, rh.block_count,
+                            trace.records.data() + next_first);
         next_first += bh.record_count;
     }
     if (next_first != rh.record_count)

@@ -255,7 +255,7 @@ readShardInto(std::istream& is, const ShardPlan& plan, std::size_t index,
                     " record count disagrees with the directory");
             decodeBlockBodyInto(bh, buf.data() + sizeof(bh),
                                 buf.size() - sizeof(bh), plan.block_capacity,
-                                dst + done);
+                                k, plan.blocks.size(), dst + done);
             done += bh.record_count;
         }
         if (done != s.num_records)

@@ -65,8 +65,10 @@ WorkerPool::execute(std::uint64_t index)
         (*fn)(index);
     } catch (...) {
         std::lock_guard<std::mutex> lk(mu_);
-        if (!first_error_)
-            first_error_ = std::current_exception();
+        if (!error_ || index < error_index_) {
+            error_ = std::current_exception();
+            error_index_ = index;
+        }
     }
     const std::uint64_t done =
         items_done_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -188,7 +190,7 @@ WorkerPool::parallelFor(std::uint64_t n,
         // Wait for every worker from the previous job to park before
         // touching the ranges (see the note in workerMain).
         idle_cv_.wait(lk, [&] { return active_ == 0; });
-        first_error_ = nullptr;
+        error_ = nullptr;
         items_done_.store(0, std::memory_order_relaxed);
         items_total_.store(n, std::memory_order_relaxed);
         job_.store(&fn, std::memory_order_release);
@@ -216,8 +218,8 @@ WorkerPool::parallelFor(std::uint64_t n,
                    items_total_.load(std::memory_order_relaxed);
         });
         job_.store(nullptr, std::memory_order_relaxed);
-        err = first_error_;
-        first_error_ = nullptr;
+        err = error_;
+        error_ = nullptr;
     }
     if (err)
         std::rethrow_exception(err);

@@ -11,8 +11,11 @@
  *
  * fn must be safe to call concurrently for distinct indices. An
  * exception thrown by fn is captured and rethrown on the calling
- * thread after the job drains (the first one wins; remaining indices
- * still run). Nested parallelFor on the same pool is not supported.
+ * thread after the job drains; remaining indices still run. When
+ * several indices throw, the lowest index's exception wins, whatever
+ * order the threads ran them in, so the error a job reports is the one
+ * a serial loop would have stopped at. Nested parallelFor on the same
+ * pool is not supported.
  *
  * submit(fn) runs one task asynchronously on a pool worker and
  * returns a future for its completion; the pipelined trace decoder
@@ -99,7 +102,8 @@ class WorkerPool
     std::uint64_t generation_ = 0;    ///< guarded by mu_
     unsigned active_ = 0;             ///< workers still draining; mu_
     bool shutdown_ = false;           ///< guarded by mu_
-    std::exception_ptr first_error_;  ///< guarded by mu_
+    std::exception_ptr error_;        ///< lowest failing index's; mu_
+    std::uint64_t error_index_ = 0;   ///< guarded by mu_
     std::deque<std::packaged_task<void()>> tasks_; ///< guarded by mu_
 };
 

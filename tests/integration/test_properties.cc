@@ -399,7 +399,7 @@ TEST(Properties, P8_ScanCombineIsAssociativeAndSplitInvariant)
     const trace::TraceData data = randomTrace(77, 3, 3'000, true);
     const auto n = static_cast<std::uint64_t>(data.records.size());
     const ta::scan::RangeScan whole =
-        ta::scan::scanRange(data, 0, n, n_cores);
+        ta::scan::scanRange(data.records, 0, n, n_cores);
 
     std::mt19937 rng(99);
     for (int trial = 0; trial < 50; ++trial) {
@@ -408,11 +408,11 @@ TEST(Properties, P8_ScanCombineIsAssociativeAndSplitInvariant)
         if (i > j)
             std::swap(i, j);
         const ta::scan::RangeScan a =
-            ta::scan::scanRange(data, 0, i, n_cores);
+            ta::scan::scanRange(data.records, 0, i, n_cores);
         const ta::scan::RangeScan b =
-            ta::scan::scanRange(data, i, j - i, n_cores);
+            ta::scan::scanRange(data.records, i, j - i, n_cores);
         const ta::scan::RangeScan c =
-            ta::scan::scanRange(data, j, n - j, n_cores);
+            ta::scan::scanRange(data.records, j, n - j, n_cores);
 
         // (a · b) · c
         ta::scan::RangeScan left = a;

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <random>
+
 #include "ta/analyzer.h"
 #include "ta/intervals.h"
 
@@ -250,6 +254,322 @@ TEST(Intervals, FullBuildKeepsIntervalsStartingAtTheLastTick)
         ASSERT_EQ(others.size(), 1u);
         EXPECT_EQ(others[0].start_tb, kMax);
     }
+}
+
+/** Corner cases the oracle met, counted so the property test can show
+ *  that every one of them occurred. */
+struct MatchCorners
+{
+    std::uint64_t equal_ticks = 0;        ///< consecutive events, one tick
+    std::uint64_t replaced_begins = 0;    ///< Begin over a pending Begin
+    std::uint64_t ends_without_begin = 0; ///< End with nothing pending
+    std::uint64_t other_ops = 0;          ///< zero-length Other intervals
+    std::uint64_t repeated_starts = 0;    ///< SpuStart over an open run
+    std::uint64_t stops_without_start = 0;
+    std::uint64_t phantom_ends = 0;       ///< End consumed by a phantom
+    std::uint64_t phantom_stops = 0;      ///< SpuStop of a phantom run
+    std::uint64_t stopped_replays = 0;    ///< pendingIn stopped the feed
+    std::uint64_t unordered_feeds = 0;    ///< times not non-decreasing
+    /** Equal starts whose End order differs from their Begin order. */
+    std::uint64_t reordered_ties = 0;
+};
+
+/**
+ * The matcher as it was before output slots: each interval is appended
+ * when it ends and take() stable-sorts by start, so at equal starts End
+ * order wins. The oracle of the slot-reserving IntervalMatcher. It also
+ * remembers at which fed event each interval started, to count ties
+ * whose End order differs from their start order.
+ */
+class EmitAtEndMatcher
+{
+  public:
+    EmitAtEndMatcher(std::uint16_t core, std::uint64_t phantom_ops,
+                     bool phantom_run, MatchCorners& corners)
+        : core_(core), phantom_ops_(phantom_ops), phantom_run_(phantom_run),
+          corners_(corners)
+    {
+    }
+
+    void
+    feed(const Event& ev)
+    {
+        const std::uint64_t at = fed_++;
+        final_epoch_ = ev.epoch;
+        if (ev.isToolRecord() || !ev.isKnownOp())
+            return;
+        const rt::ApiOp op = ev.op();
+
+        if (op == rt::ApiOp::SpuStart) {
+            corners_.repeated_starts += run_start_ ? 1 : 0;
+            run_start_ = ev;
+            run_start_at_ = at;
+            phantom_run_ = false;
+            return;
+        }
+        if (op == rt::ApiOp::SpuStop) {
+            if (!run_start_ && phantom_run_) {
+                corners_.phantom_stops += 1;
+                phantom_run_ = false;
+                return;
+            }
+            corners_.stops_without_start += run_start_ ? 0 : 1;
+            Interval run;
+            run.cls = IntervalClass::Run;
+            run.op = rt::ApiOp::SpuStart;
+            run.core = core_;
+            run.start_tb = run_start_ ? run_start_->time_tb : ev.time_tb;
+            run.end_tb = ev.time_tb;
+            run.a = ev.a;
+            run.truncated = !run_start_;
+            run.gap = run_start_ && run_start_->epoch != ev.epoch;
+            out_.push_back({run, run_start_ ? run_start_at_ : at});
+            run_start_.reset();
+            return;
+        }
+
+        const auto idx = static_cast<std::size_t>(op);
+        const std::uint64_t bit = std::uint64_t{1} << idx;
+        if (ev.isBegin()) {
+            const IntervalClass cls = classifyOp(op);
+            if (cls == IntervalClass::Other) {
+                corners_.other_ops += 1;
+                Interval i;
+                i.cls = cls;
+                i.op = op;
+                i.core = core_;
+                i.start_tb = i.end_tb = ev.time_tb;
+                i.a = ev.a;
+                i.b = ev.b;
+                i.c = ev.c;
+                i.d = ev.d;
+                out_.push_back({i, at});
+            } else {
+                corners_.replaced_begins += pending_[idx] ? 1 : 0;
+                pending_[idx] = ev;
+                pending_at_[idx] = at;
+                phantom_ops_ &= ~bit;
+            }
+            return;
+        }
+
+        Interval i;
+        i.cls = classifyOp(op);
+        i.op = op;
+        i.core = core_;
+        std::uint64_t started = at;
+        if (pending_[idx]) {
+            const Event& b = *pending_[idx];
+            i.start_tb = b.time_tb;
+            i.a = b.a;
+            i.b = b.b;
+            i.c = b.c;
+            i.d = b.d;
+            i.gap = b.epoch != ev.epoch;
+            started = pending_at_[idx];
+            pending_[idx].reset();
+        } else if (phantom_ops_ & bit) {
+            corners_.phantom_ends += 1;
+            phantom_ops_ &= ~bit;
+            return;
+        } else {
+            corners_.ends_without_begin += 1;
+            i.start_tb = ev.time_tb;
+            i.truncated = true;
+        }
+        i.end_tb = ev.time_tb;
+        i.end_b = ev.b;
+        out_.push_back({i, started});
+    }
+
+    void
+    finish(std::uint64_t last_time)
+    {
+        for (std::size_t k = 0; k < pending_.size(); ++k) {
+            const std::optional<Event>& p = pending_[k];
+            if (!p)
+                continue;
+            Interval i;
+            i.cls = classifyOp(p->op());
+            i.op = p->op();
+            i.core = core_;
+            i.start_tb = p->time_tb;
+            i.end_tb = last_time;
+            i.a = p->a;
+            i.b = p->b;
+            i.c = p->c;
+            i.d = p->d;
+            i.truncated = true;
+            i.gap = p->epoch != final_epoch_;
+            out_.push_back({i, pending_at_[k]});
+        }
+        if (run_start_) {
+            Interval run;
+            run.cls = IntervalClass::Run;
+            run.op = rt::ApiOp::SpuStart;
+            run.core = core_;
+            run.start_tb = run_start_->time_tb;
+            run.end_tb = last_time;
+            run.truncated = true;
+            run.gap = run_start_->epoch != final_epoch_;
+            out_.push_back({run, run_start_at_});
+        }
+    }
+
+    bool
+    pendingIn(std::uint64_t from, std::uint64_t to) const
+    {
+        for (const auto& p : pending_) {
+            if (p && p->time_tb >= from && p->time_tb < to)
+                return true;
+        }
+        return run_start_ && run_start_->time_tb >= from &&
+               run_start_->time_tb < to;
+    }
+
+    std::vector<Interval>
+    take()
+    {
+        std::stable_sort(out_.begin(), out_.end(),
+                         [](const Emitted& x, const Emitted& y) {
+                             return x.iv.start_tb < y.iv.start_tb;
+                         });
+        std::vector<Interval> ivs;
+        for (std::size_t k = 0; k < out_.size(); ++k) {
+            if (k > 0 && out_[k].iv.start_tb == out_[k - 1].iv.start_tb &&
+                out_[k].started < out_[k - 1].started)
+                corners_.reordered_ties += 1;
+            ivs.push_back(out_[k].iv);
+        }
+        return ivs;
+    }
+
+  private:
+    struct Emitted
+    {
+        Interval iv;
+        std::uint64_t started; ///< index of the event it started at
+    };
+
+    std::uint16_t core_;
+    std::uint64_t phantom_ops_;
+    bool phantom_run_;
+    MatchCorners& corners_;
+    std::array<std::optional<Event>, rt::kNumApiOps> pending_;
+    std::array<std::uint64_t, rt::kNumApiOps> pending_at_{};
+    std::optional<Event> run_start_;
+    std::uint64_t run_start_at_ = 0;
+    std::uint32_t final_epoch_ = 0;
+    std::uint64_t fed_ = 0;
+    std::vector<Emitted> out_;
+};
+
+/** A random event stream for one core: few ops, so Begins collide and
+ *  Ends go unmatched; coarse steps, so ticks repeat. Non-decreasing
+ *  times unless @p ordered is false. */
+std::vector<Event>
+randomStream(std::mt19937_64& rng, std::uint16_t core, bool ordered)
+{
+    static constexpr rt::ApiOp kPendable[] = {
+        rt::ApiOp::SpuMfcGet, rt::ApiOp::SpuTagWaitAll,
+        rt::ApiOp::SpuMboxRead, rt::ApiOp::PpeMboxWrite};
+    static constexpr rt::ApiOp kOther[] = {rt::ApiOp::SpuUserEvent,
+                                           rt::ApiOp::SpuDecrRead};
+    static constexpr std::uint64_t kSteps[] = {0, 0, 0, 1, 2, 7, 40};
+    std::vector<Event> evs(rng() % 160);
+    std::uint64_t t = rng() % 1000;
+    std::uint32_t epoch = 0;
+    for (Event& ev : evs) {
+        t = ordered ? t + kSteps[rng() % std::size(kSteps)] : rng() % 300;
+        epoch += rng() % 20 == 0 ? 1 : 0;
+        ev.time_tb = t;
+        ev.core = core;
+        ev.epoch = epoch;
+        ev.a = rng() % 5;
+        ev.b = rng() % 5;
+        ev.c = static_cast<std::uint32_t>(rng() % 5);
+        ev.d = static_cast<std::uint32_t>(rng() % 5);
+        ev.phase = trace::kPhaseBegin;
+        const unsigned r = rng() % 100;
+        rt::ApiOp op = kPendable[rng() % std::size(kPendable)];
+        if (r < 8) {
+            op = rt::ApiOp::SpuStart;
+        } else if (r < 16) {
+            op = rt::ApiOp::SpuStop;
+        } else if (r < 26) {
+            op = kOther[rng() % std::size(kOther)];
+        } else if (r < 29) {
+            ev.kind = rng() % 2 ? trace::kSyncRecord : trace::kDropRecord;
+            continue;
+        } else if (r < 31) {
+            ev.kind = static_cast<std::uint8_t>(rt::kNumApiOps + rng() % 8);
+            continue;
+        } else if (r < 62) {
+            ev.phase = trace::kPhaseEnd;
+        }
+        ev.kind = static_cast<std::uint8_t>(op);
+    }
+    return evs;
+}
+
+TEST(Intervals, SlotMatcherEqualsEmitAtEndOracleOnRandomStreams)
+{
+    MatchCorners cov;
+    std::uint64_t intervals = 0;
+    for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+        std::mt19937_64 rng(seed);
+        const auto core = static_cast<std::uint16_t>(rng() % 3);
+        const bool ordered = rng() % 8 != 0;
+        const std::vector<Event> evs = randomStream(rng, core, ordered);
+        const std::uint64_t phantom_ops =
+            rng() % 3 == 0 ? rng() & pendableOpsMask() : 0;
+        const bool phantom_run = rng() % 3 == 0;
+        // A third of the streams replay a window the way
+        // queryWindowFile does: stop once past it with nothing that
+        // started inside it still pending, and skip finish().
+        const bool windowed = rng() % 3 == 0;
+        const std::uint64_t from = evs.empty() ? 0 : evs[rng() % evs.size()].time_tb;
+        const std::uint64_t to = from + rng() % 60;
+
+        IntervalMatcher slots(core, phantom_ops, phantom_run);
+        EmitAtEndMatcher oracle(core, phantom_ops, phantom_run, cov);
+        bool stopped = false;
+        for (std::size_t k = 0; k < evs.size() && !stopped; ++k) {
+            cov.equal_ticks +=
+                k > 0 && evs[k].time_tb == evs[k - 1].time_tb ? 1 : 0;
+            cov.unordered_feeds +=
+                k > 0 && evs[k].time_tb < evs[k - 1].time_tb ? 1 : 0;
+            slots.feed(evs[k]);
+            oracle.feed(evs[k]);
+            ASSERT_EQ(slots.pendingIn(from, to), oracle.pendingIn(from, to))
+                << "seed " << seed << " event " << k;
+            stopped = windowed && evs[k].time_tb >= to &&
+                      !oracle.pendingIn(from, to);
+        }
+        if (stopped) {
+            cov.stopped_replays += 1;
+        } else {
+            const std::uint64_t last = evs.empty() ? 0 : evs.back().time_tb;
+            slots.finish(last);
+            oracle.finish(last);
+        }
+        const std::vector<Interval> want = oracle.take();
+        ASSERT_TRUE(slots.take() == want) << "seed " << seed;
+        intervals += want.size();
+    }
+    // Every corner of the matching rules was exercised.
+    EXPECT_GT(intervals, 0u);
+    EXPECT_GT(cov.equal_ticks, 0u);
+    EXPECT_GT(cov.replaced_begins, 0u);
+    EXPECT_GT(cov.ends_without_begin, 0u);
+    EXPECT_GT(cov.other_ops, 0u);
+    EXPECT_GT(cov.repeated_starts, 0u);
+    EXPECT_GT(cov.stops_without_start, 0u);
+    EXPECT_GT(cov.phantom_ends, 0u);
+    EXPECT_GT(cov.phantom_stops, 0u);
+    EXPECT_GT(cov.stopped_replays, 0u);
+    EXPECT_GT(cov.unordered_feeds, 0u);
+    EXPECT_GT(cov.reordered_ties, 0u);
 }
 
 TEST(Intervals, ClassNamesAreStable)

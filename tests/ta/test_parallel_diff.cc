@@ -13,16 +13,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pdt/tracer.h"
 #include "rt/system.h"
 #include "ta/analyzer.h"
 #include "ta/parallel.h"
+#include "trace/block.h"
+#include "trace/gen.h"
 #include "trace/reader.h"
+#include "trace/shard.h"
 #include "trace/writer.h"
 #include "wl/conv2d.h"
 #include "wl/fft.h"
@@ -162,6 +170,22 @@ shardedAnalysis(const trace::TraceData& data, unsigned threads, bool lenient,
     return a;
 }
 
+/** The timelines, their span and the skip count are equal. */
+void
+expectSameModel(const ta::TraceModel& s, const ta::TraceModel& p)
+{
+    EXPECT_EQ(s.leniencySkipped(), p.leniencySkipped());
+    EXPECT_EQ(s.startTb(), p.startTb());
+    EXPECT_EQ(s.endTb(), p.endTb());
+    ASSERT_EQ(s.cores().size(), p.cores().size());
+    for (std::size_t c = 0; c < s.cores().size(); ++c) {
+        EXPECT_EQ(s.cores()[c].core, p.cores()[c].core);
+        EXPECT_EQ(s.cores()[c].label, p.cores()[c].label);
+        EXPECT_TRUE(s.cores()[c].events == p.cores()[c].events)
+            << "event mismatch on core " << c;
+    }
+}
+
 /** Assert every derived structure matches, field by field, and the
  *  printed reports are byte-identical. */
 void
@@ -169,16 +193,7 @@ expectIdentical(const ta::Analysis& s, const ta::Analysis& p,
                 const std::string& what)
 {
     SCOPED_TRACE(what);
-    EXPECT_EQ(s.model.leniencySkipped(), p.model.leniencySkipped());
-    EXPECT_EQ(s.model.startTb(), p.model.startTb());
-    EXPECT_EQ(s.model.endTb(), p.model.endTb());
-    ASSERT_EQ(s.model.cores().size(), p.model.cores().size());
-    for (std::size_t c = 0; c < s.model.cores().size(); ++c) {
-        EXPECT_EQ(s.model.cores()[c].core, p.model.cores()[c].core);
-        EXPECT_EQ(s.model.cores()[c].label, p.model.cores()[c].label);
-        EXPECT_TRUE(s.model.cores()[c].events == p.model.cores()[c].events)
-            << "event mismatch on core " << c;
-    }
+    expectSameModel(s.model, p.model);
     ASSERT_EQ(s.intervals.per_core.size(), p.intervals.per_core.size());
     for (std::size_t c = 0; c < s.intervals.per_core.size(); ++c) {
         EXPECT_TRUE(s.intervals.per_core[c] == p.intervals.per_core[c])
@@ -269,6 +284,43 @@ TEST(ParallelDiff, ThreadsOneIsExactlyTheLegacyPath)
                     "threads=1");
 }
 
+/** What analyzeFile(@p path) throws at @p threads ("" if nothing). */
+std::string
+fileError(const std::string& path, unsigned threads)
+{
+    try {
+        (void)ta::analyzeFile(path, {.threads = threads});
+    } catch (const std::exception& e) {
+        return e.what();
+    }
+    return {};
+}
+
+/** A 40k-record v3 trace with blocks 9 and 30 of 40 damaged: at 2, 4
+ *  and 8 threads they fall in different shards, so two shard readers
+ *  fail. */
+std::string
+twoBadBlocksTrace()
+{
+    const std::string path = ::testing::TempDir() + "/two_bad_blocks.pdt";
+    trace::writeFile(path,
+                     trace::gen::generate({.seed = 5, .records = 40'000}),
+                     {.compress = true, .block_records = 1024});
+    const trace::ShardPlan plan = trace::planShardsFile(path);
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    for (const std::size_t k : {9u, 30u}) {
+        const auto at = static_cast<std::streamoff>(
+            plan.blocks.at(k).offset + sizeof(trace::BlockHeader) + 9);
+        char byte = 0;
+        f.seekg(at);
+        f.read(&byte, 1);
+        byte = static_cast<char>(byte ^ 0x40);
+        f.seekp(at);
+        f.write(&byte, 1);
+    }
+    return path;
+}
+
 TEST(ParallelDiff, StrictErrorsMatchSerialDiagnostics)
 {
     // An event before any sync on its core: both paths must throw the
@@ -318,6 +370,91 @@ TEST(ParallelDiff, StrictErrorsMatchSerialDiagnostics)
     }
     EXPECT_FALSE(serial_msg.empty());
     EXPECT_EQ(serial_msg, parallel_msg);
+
+    // Damaged files: the sharded ingest names the same block, with the
+    // same salvage hint, as the serial reader, at any thread count and
+    // however the shard readers race.
+    std::vector<std::string> paths;
+    for (const char* name :
+         {"v3_bad_block_checksum", "v3_columnar_bad_streams",
+          "v3_columnar_payload_flip"})
+        paths.push_back(std::string(CELL_CORPUS_DIR) + "/" + name + ".pdt");
+    paths.push_back(twoBadBlocksTrace());
+    for (const std::string& path : paths) {
+        SCOPED_TRACE(path);
+        const std::string want = fileError(path, 1);
+        EXPECT_NE(want.find("; --salvage recovers the decodable blocks"),
+                  std::string::npos)
+            << want;
+        for (const unsigned threads : kThreadCounts) {
+            for (int run = 0; run < 20; ++run)
+                ASSERT_EQ(fileError(path, threads), want)
+                    << threads << " threads, run " << run;
+        }
+    }
+    EXPECT_NE(fileError(paths.back(), 1).find("(block 9 of "),
+              std::string::npos);
+}
+
+TEST(WorkerPool, LowestFailingIndexWins)
+{
+    for (const unsigned threads : {2u, 4u, 8u}) {
+        ta::WorkerPool pool(threads);
+        for (int run = 0; run < 20; ++run) {
+            try {
+                pool.parallelFor(10, [](std::uint64_t i) {
+                    if (i == 3) {
+                        // Let index 7 throw first in time.
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(1));
+                        throw std::runtime_error("index 3");
+                    }
+                    if (i == 7)
+                        throw std::runtime_error("index 7");
+                });
+                FAIL() << "parallelFor did not rethrow";
+            } catch (const std::runtime_error& e) {
+                EXPECT_STREQ(e.what(), "index 3")
+                    << threads << " threads, run " << run;
+            }
+        }
+    }
+}
+
+TEST(ParallelDiff, TimelinesAreAllocatedOnceAtTheirExactSize)
+{
+    // Lenient input: SPE0 lost its first sync, so its records up to the
+    // next one cannot be placed, and one record names a core that does
+    // not exist. Each slice's count must leave both out exactly.
+    trace::TraceData damaged = dropTrace();
+    const auto first_sync = std::find_if(
+        damaged.records.begin(), damaged.records.end(),
+        [](const trace::Record& r) {
+            return r.core == 1 && r.kind == trace::kSyncRecord;
+        });
+    ASSERT_NE(first_sync, damaged.records.end());
+    damaged.records.erase(first_sync);
+    damaged.records[damaged.records.size() / 2].core = 99;
+    const std::vector<NamedTrace> traces = {
+        {"drops", dropTrace(), false},
+        {"damaged", damaged, true},
+    };
+    for (const NamedTrace& t : traces) {
+        const ta::TraceModel serial = ta::TraceModel::build(t.data, t.lenient);
+        EXPECT_EQ(serial.leniencySkipped() > 1, t.lenient) << t.name;
+        for (const ta::CoreTimeline& tl : serial.cores())
+            EXPECT_EQ(tl.events.capacity(), tl.events.size())
+                << t.name << " serial, core " << tl.core;
+        for (const std::uint64_t shard : {1ull, 7ull, 64ull, 0ull}) {
+            ta::WorkerPool pool(4);
+            const ta::TraceModel par =
+                ta::buildModelParallel(t.data, pool, t.lenient, shard);
+            expectSameModel(serial, par);
+            for (const ta::CoreTimeline& tl : par.cores())
+                EXPECT_EQ(tl.events.capacity(), tl.events.size())
+                    << t.name << " shard " << shard << ", core " << tl.core;
+        }
+    }
 }
 
 } // namespace
