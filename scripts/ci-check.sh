@@ -74,7 +74,7 @@ case " ${presets[*]-} " in *" default "*)
     build/tools/trace_gen --sweep 16 --seed "${SWEEP_SEED:-1000}" \
         --adversarial --out-dir build/gen-sweep/adv
     build/tests/fuzz_reader build/gen-sweep/valid build/gen-sweep/adv
-    echo "==> thread parity (ta summary, 1 vs 4 threads, strict and salvage)"
+    echo "==> thread parity (ta summary and ta convert, 1 vs 4 threads)"
     scripts/thread-parity.sh build/tools/ta tests/trace/corpus \
         build/gen-sweep/valid build/gen-sweep/adv
     echo "==> perturb-and-localize diff-corpus smoke"

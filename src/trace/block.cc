@@ -1,7 +1,7 @@
 /**
  * @file
- * v3 block codec: varint payload encode/decode, region writer, the
- * salvage walk, the streaming BlockReader, and directory loading.
+ * v3 block codec: varint payload encode/decode, the per-block encoder,
+ * the salvage walk, the streaming BlockReader, and directory loading.
  *
  * Exactness argument for the delta scheme: every delta is computed
  * with modular (two's-complement) subtraction and re-applied with
@@ -469,6 +469,10 @@ encodeColumnarPayload(const Record* recs, std::size_t n,
         static_cast<std::uint32_t>(s_d.bytes.size()),
     };
     const std::size_t at = out.size();
+    std::size_t total = at + kStreamTableBytes;
+    for (const std::uint32_t l : lens)
+        total += l;
+    out.reserve(total);
     out.resize(at + kStreamTableBytes);
     std::memcpy(out.data() + at, lens, kStreamTableBytes);
     for (const std::vector<std::uint8_t>* s :
@@ -590,23 +594,6 @@ decodePayloadInto(const BlockHeader& hdr, const std::uint8_t* payload,
 // -------------------------------------------------------------------------
 // Shared validation
 
-/** Structural plausibility of a block header against the region's
- *  capacity — everything checkable without touching the body. */
-bool
-plausibleBlockHeader(const BlockHeader& bh, std::uint32_t capacity)
-{
-    return bh.magic == kBlockMagic && bh.record_count > 0 &&
-           bh.record_count <= capacity && bh.seed_count <= 4096 &&
-           (bh.payload == kPayloadInterleaved ||
-            bh.payload == kPayloadColumnar) &&
-           bh.uncompressed_size ==
-               bh.record_count * static_cast<std::uint32_t>(sizeof(Record)) &&
-           static_cast<std::uint64_t>(bh.seed_count) * sizeof(BlockSeed) +
-                   bh.payload_size <=
-               maxBlockBodyBytes(bh.record_count, bh.seed_count) &&
-           bh.first_record < (std::uint64_t{1} << 48);
-}
-
 /** Structural plausibility of a region header (lengths unchecked). */
 bool
 plausibleRegionHeader(const BlockRegionHeader& rh)
@@ -660,123 +647,53 @@ maxBlockBodyBytes(std::uint32_t record_count, std::uint32_t seed_count)
            static_cast<std::uint64_t>(record_count) * 48;
 }
 
-std::vector<std::uint8_t>
-encodeBlockRegion(const TraceData& trace, const Header& header,
-                  std::uint64_t region_offset, std::uint32_t block_records,
-                  bool legacy_payload)
+bool
+plausibleBlockHeader(const BlockHeader& bh, std::uint32_t capacity)
 {
-    std::uint32_t capacity =
-        block_records == 0 ? kDefaultBlockRecords : block_records;
-    if (capacity > kMaxBlockRecords)
-        capacity = kMaxBlockRecords;
+    return bh.magic == kBlockMagic && bh.record_count > 0 &&
+           bh.record_count <= capacity && bh.seed_count <= 4096 &&
+           (bh.payload == kPayloadInterleaved ||
+            bh.payload == kPayloadColumnar) &&
+           bh.uncompressed_size ==
+               bh.record_count * static_cast<std::uint32_t>(sizeof(Record)) &&
+           static_cast<std::uint64_t>(bh.seed_count) * sizeof(BlockSeed) +
+                   bh.payload_size <=
+               maxBlockBodyBytes(bh.record_count, bh.seed_count) &&
+           bh.first_record < (std::uint64_t{1} << 48);
+}
 
-    const std::uint32_t n_cores = header.num_spes + 1;
-    const std::uint64_t count = trace.records.size();
+void
+encodeBlock(const Record* recs, std::uint32_t n, std::uint64_t first_record,
+            const BlockSeed* seeds, std::uint32_t seed_count,
+            bool legacy_payload, std::vector<std::uint8_t>& out)
+{
+    // The header goes in front of the body it describes, so its slot
+    // is reserved here and filled once the checksum is known.
+    const std::size_t seeds_bytes = std::size_t{seed_count} * sizeof(BlockSeed);
+    out.resize(sizeof(BlockHeader) + seeds_bytes);
+    if (seeds_bytes > 0)
+        std::memcpy(out.data() + sizeof(BlockHeader), seeds, seeds_bytes);
+    if (legacy_payload)
+        encodeInterleavedPayload(recs, n, out);
+    else
+        encodeColumnarPayload(recs, n, out);
 
-    BlockRegionHeader rh;
-    rh.block_capacity = capacity;
-    rh.block_count = (count + capacity - 1) / capacity;
-    rh.record_count = count;
-
-    std::vector<std::uint8_t> out(sizeof(BlockRegionHeader)); // patched last
-    std::vector<BlockDirEntry> dir;
-    dir.reserve(static_cast<std::size_t>(rh.block_count));
-
-    // Per-core replay state, mirroring buildIndex: the seeds written
-    // for block k are the state a serial decode carries into record
-    // k * capacity.
-    struct CoreState
-    {
-        ClockReplay clk;
-        std::uint64_t clamp = 0;
-        std::uint64_t open = 0;
-        std::uint64_t seen = 0;
-    };
-    std::vector<CoreState> cores(n_cores);
-
-    std::vector<std::uint8_t> body;
-    for (std::uint64_t first = 0; first < count; first += capacity) {
-        const auto n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(capacity, count - first));
-
-        body.clear();
-        for (std::uint32_t c = 0; c < n_cores; ++c) {
-            BlockSeed s;
-            s.tick = cores[c].clamp;
-            s.sync_tb = cores[c].clk.sync_tb;
-            s.open_begins = cores[c].open;
-            s.records_before = cores[c].seen;
-            s.sync_raw = cores[c].clk.sync_raw;
-            s.epoch = cores[c].clk.epoch;
-            s.core = static_cast<std::uint16_t>(c);
-            s.flags = cores[c].clk.have_sync ? kSeedHaveSync : 0;
-            const auto* p = reinterpret_cast<const std::uint8_t*>(&s);
-            body.insert(body.end(), p, p + sizeof(s));
-        }
-        const std::size_t seeds_bytes = body.size();
-        if (legacy_payload)
-            encodeInterleavedPayload(trace.records.data() + first, n, body);
-        else
-            encodeColumnarPayload(trace.records.data() + first, n, body);
-
-        BlockHeader bh;
-        bh.record_count = static_cast<std::uint32_t>(n);
-        bh.payload_size = static_cast<std::uint32_t>(body.size() - seeds_bytes);
-        bh.seed_count = n_cores;
-        bh.first_record = first;
-        // Columnar blocks use the word-lane FNV: the byte-serial form
-        // runs at ~1 mul/byte and would dominate the decode time the
-        // columnar layout exists to save. The payload bit that selects
-        // the decoder selects the checksum algorithm too.
-        bh.checksum = legacy_payload
-                          ? fnv1a64Bytes(body.data(), body.size())
-                          : fnv1a64Words(body.data(), body.size());
-        bh.uncompressed_size =
-            static_cast<std::uint32_t>(n * sizeof(Record));
-        bh.payload = legacy_payload ? kPayloadInterleaved : kPayloadColumnar;
-
-        BlockDirEntry de;
-        de.offset = region_offset + out.size();
-        de.block_bytes =
-            static_cast<std::uint32_t>(sizeof(BlockHeader) + body.size());
-        de.record_count = bh.record_count;
-        dir.push_back(de);
-
-        const auto* hp = reinterpret_cast<const std::uint8_t*>(&bh);
-        out.insert(out.end(), hp, hp + sizeof(bh));
-        out.insert(out.end(), body.begin(), body.end());
-
-        // Advance the replay state through this block's records.
-        for (std::size_t i = 0; i < n; ++i) {
-            const Record& rec = trace.records[first + i];
-            if (rec.core >= n_cores)
-                continue;
-            CoreState& c = cores[rec.core];
-            c.seen += 1;
-            std::uint64_t t = 0;
-            if (!c.clk.feed(rec, t))
-                continue;
-            if (t < c.clamp)
-                t = c.clamp;
-            c.clamp = t;
-            updateOpenBegins(c.open, rec);
-        }
-    }
-
-    rh.directory_offset = region_offset + out.size();
-    if (!dir.empty()) {
-        const auto* dp = reinterpret_cast<const std::uint8_t*>(dir.data());
-        out.insert(out.end(), dp, dp + dir.size() * sizeof(BlockDirEntry));
-    }
-    BlockDirTrailer tr;
-    tr.dir_bytes = dir.size() * sizeof(BlockDirEntry);
-    tr.checksum = fnv1a64Bytes(dir.data(), static_cast<std::size_t>(
-                                               tr.dir_bytes));
-    const auto* tp = reinterpret_cast<const std::uint8_t*>(&tr);
-    out.insert(out.end(), tp, tp + sizeof(tr));
-
-    std::memcpy(out.data(), &rh, sizeof(rh));
-    return out;
+    const std::uint8_t* body = out.data() + sizeof(BlockHeader);
+    const std::size_t body_len = out.size() - sizeof(BlockHeader);
+    BlockHeader bh;
+    bh.record_count = n;
+    bh.payload_size = static_cast<std::uint32_t>(body_len - seeds_bytes);
+    bh.seed_count = seed_count;
+    bh.first_record = first_record;
+    // Columnar blocks use the word-lane FNV: the byte-serial form
+    // runs at ~1 mul/byte and would dominate the decode time the
+    // columnar layout exists to save. The payload bit that selects
+    // the decoder selects the checksum algorithm too.
+    bh.checksum = legacy_payload ? fnv1a64Bytes(body, body_len)
+                                 : fnv1a64Words(body, body_len);
+    bh.uncompressed_size = n * static_cast<std::uint32_t>(sizeof(Record));
+    bh.payload = legacy_payload ? kPayloadInterleaved : kPayloadColumnar;
+    std::memcpy(out.data(), &bh, sizeof(bh));
 }
 
 namespace {

@@ -206,20 +206,27 @@ struct DecodedBlock
 std::uint64_t maxBlockBodyBytes(std::uint32_t record_count,
                                 std::uint32_t seed_count);
 
+/** Structural plausibility of a block header against the region's
+ *  @p capacity: everything checkable without touching the body,
+ *  including seed_count <= 4096, so a body length computed from a
+ *  plausible header is bounded. Readers check it before sizing any
+ *  buffer from the header. */
+bool plausibleBlockHeader(const BlockHeader& bh, std::uint32_t capacity);
+
 /**
- * Encode the whole block region for @p trace: region header, blocks,
- * directory, trailer. @p header must be the effective on-disk header
- * and @p region_offset the absolute offset the region will be written
- * at (directory/block offsets are absolute). @p block_records is
- * clamped to [1, kMaxBlockRecords]; 0 selects kDefaultBlockRecords.
- * @p legacy_payload selects the interleaved block layout old readers
- * saw (back-compat tests); the default is columnar.
+ * Encode one block into @p out, replacing its contents: the
+ * BlockHeader, then @p seed_count seeds, then the payload of the @p n
+ * records at @p recs, whose first is record @p first_record of the
+ * trace. The payload is columnar, or interleaved (the layout old
+ * readers saw) when @p legacy_payload. The bytes depend only on the
+ * arguments — the seeds carry everything a block needs from the
+ * records before it — so blocks encode independently, in any order
+ * and on any thread (trace::writeFile runs them on a pool).
  */
-std::vector<std::uint8_t> encodeBlockRegion(const TraceData& trace,
-                                            const Header& header,
-                                            std::uint64_t region_offset,
-                                            std::uint32_t block_records,
-                                            bool legacy_payload = false);
+void encodeBlock(const Record* recs, std::uint32_t n,
+                 std::uint64_t first_record, const BlockSeed* seeds,
+                 std::uint32_t seed_count, bool legacy_payload,
+                 std::vector<std::uint8_t>& out);
 
 /**
  * Decode one block body (seeds + payload, as checksummed). Validates

@@ -19,7 +19,6 @@
 
 #include "rt/hooks.h"
 #include "trace/block.h"
-#include "trace/replay.h"
 
 namespace cell::trace {
 
@@ -103,92 +102,6 @@ fnv1a64Words(const void* data, std::size_t len)
         h = (h ^ p[i]) * kPrime;
     h = (h ^ static_cast<std::uint64_t>(len)) * kPrime;
     return h;
-}
-
-TraceIndex
-buildIndex(const TraceData& trace, const Header& header,
-           std::uint64_t record_region_offset, std::uint32_t stride)
-{
-    if (stride == 0)
-        stride = 1;
-
-    TraceIndex idx;
-    idx.header.stride = stride;
-    idx.header.record_count = header.record_count;
-    idx.header.record_region_offset = record_region_offset;
-    const std::uint32_t n_cores = header.num_spes + 1;
-    idx.header.num_cores = n_cores;
-
-    struct CoreBuild
-    {
-        ClockReplay clk;
-        std::uint64_t clamp = 0; ///< max clamped event time so far
-        std::uint64_t open = 0;  ///< open-begin mask
-        std::uint64_t seen = 0;  ///< this core's records so far
-        std::uint64_t begin_offset = 0;
-        std::uint64_t end_offset = 0;
-        std::vector<IndexEntry> entries;
-    };
-    std::vector<CoreBuild> cores(n_cores);
-
-    // One pass in stream order, replaying exactly what the analyzer's
-    // lenient serial loop does (TraceModel::build): the snapshot taken
-    // every `stride` records per core is therefore the exact state a
-    // full scan carries into that record.
-    for (std::size_t i = 0; i < trace.records.size(); ++i) {
-        const Record& rec = trace.records[i];
-        const std::uint64_t off =
-            record_region_offset + i * sizeof(Record);
-        if (rec.core >= n_cores) {
-            idx.header.bad_core_records += 1;
-            continue;
-        }
-        CoreBuild& c = cores[rec.core];
-        if (c.seen % stride == 0) {
-            IndexEntry e;
-            e.tick = c.clamp;
-            e.byte_offset = off;
-            e.sync_tb = c.clk.sync_tb;
-            e.open_begins = c.open;
-            e.sync_raw = c.clk.sync_raw;
-            e.epoch = c.clk.epoch;
-            e.core = rec.core;
-            e.flags = c.clk.have_sync ? kEntryHaveSync : 0;
-            c.entries.push_back(e);
-        }
-        c.entries.back().record_count += 1;
-        if (c.seen == 0)
-            c.begin_offset = off;
-        c.end_offset = off + sizeof(Record);
-        c.seen += 1;
-
-        std::uint64_t t = 0;
-        if (!c.clk.feed(rec, t)) {
-            idx.header.presync_records += 1;
-            continue;
-        }
-        if (t < c.clamp)
-            t = c.clamp;
-        c.clamp = t;
-        updateOpenBegins(c.open, rec);
-    }
-
-    idx.cores.resize(n_cores);
-    std::uint32_t next_entry = 0;
-    for (std::uint32_t c = 0; c < n_cores; ++c) {
-        IndexCoreSummary& s = idx.cores[c];
-        s.total_records = cores[c].seen;
-        s.begin_offset = cores[c].begin_offset;
-        s.end_offset = cores[c].end_offset;
-        s.max_tick = cores[c].clamp;
-        s.first_entry = next_entry;
-        s.num_entries = static_cast<std::uint32_t>(cores[c].entries.size());
-        next_entry += s.num_entries;
-        idx.entries.insert(idx.entries.end(), cores[c].entries.begin(),
-                           cores[c].entries.end());
-    }
-    idx.header.entry_count = next_entry;
-    return idx;
 }
 
 std::vector<std::uint8_t>

@@ -186,20 +186,11 @@ std::uint64_t fnv1a64Bytes(const void* data, std::size_t len);
  */
 std::uint64_t fnv1a64Words(const void* data, std::size_t len);
 
-/** Mechanical open-begin mask update (see IndexEntry::open_begins):
- *  shared by the index builder and the v3 block seeds, which snapshot
- *  the same pending state per block (trace/block.h). */
+/** Mechanical open-begin mask update (see IndexEntry::open_begins).
+ *  The writer's replay pass (trace/writer.h) folds it into the index
+ *  entries and the v3 block seeds, which snapshot the same pending
+ *  state per block (trace/block.h). */
 void updateOpenBegins(std::uint64_t& mask, const Record& rec);
-
-/**
- * Build the index for @p trace as it will appear on disk. @p header
- * must be the effective on-disk header (writer-normalized num_spes /
- * record_count) and @p record_region_offset the absolute offset of the
- * first record. @p stride is clamped to >= 1.
- */
-TraceIndex buildIndex(const TraceData& trace, const Header& header,
-                      std::uint64_t record_region_offset,
-                      std::uint32_t stride);
 
 /** Serialize header + summaries + entries + trailer. */
 std::vector<std::uint8_t> serializeIndex(const TraceIndex& index);

@@ -1,16 +1,16 @@
 /**
  * @file
- * Trace reader/writer implementation.
+ * Trace reader implementation (the writer is trace/writer.cc).
  *
  * Layout: Header, then per SPE {u32 length, bytes} program names, then
  * header.record_count fixed 32-byte records.
  *
- * Buffer-based I/O (writeBuffer/readBuffer) serializes directly
- * to/from the byte vector — no stringstream detour, no intermediate
- * string copy. Stream-based read() sizes the record array in one step
- * when the stream is seekable, after validating the untrusted record
- * count against the bytes actually remaining; only non-seekable
- * streams fall back to bounded chunked reads.
+ * readBuffer parses straight out of the byte vector — no stringstream
+ * detour, no intermediate string copy. Stream-based read() sizes the
+ * record array in one step when the stream is seekable, after
+ * validating the untrusted record count against the bytes actually
+ * remaining; only non-seekable streams fall back to bounded chunked
+ * reads.
  */
 
 #include <algorithm>
@@ -20,26 +20,12 @@
 #include <stdexcept>
 
 #include "trace/block.h"
-#include "trace/index.h"
 #include "trace/mmap.h"
 #include "trace/reader.h"
-#include "trace/writer.h"
 
 namespace cell::trace {
 
 namespace {
-
-/** The header as it should appear on disk for @p trace. */
-Header
-headerFor(const TraceData& trace, const WriteOptions& opt)
-{
-    Header hdr = trace.header;
-    hdr.magic = kMagic;
-    hdr.version = opt.compress ? kFormatVersionV3 : kFormatVersion;
-    hdr.num_spes = static_cast<std::uint32_t>(trace.spe_programs.size());
-    hdr.record_count = trace.records.size();
-    return hdr;
-}
 
 /** Sequential reader over an in-memory byte range. */
 class BufReader
@@ -199,13 +185,11 @@ readBlocksStrict(Reader& in, TraceData& trace)
     for (std::uint64_t b = 0; b < rh.block_count; ++b) {
         BlockHeader bh;
         in.read(&bh, sizeof(bh));
-        const std::uint64_t body_len =
-            std::uint64_t{bh.seed_count} * sizeof(BlockSeed) +
-            bh.payload_size;
-        if (bh.magic != kBlockMagic || bh.first_record != next_first ||
-            bh.record_count == 0 || bh.record_count > rh.block_capacity ||
-            bh.record_count > rh.record_count - next_first ||
-            body_len > maxBlockBodyBytes(bh.record_count, bh.seed_count)) {
+        // The header sizes the body read below: it must be plausible
+        // (seed_count bounded) before any buffer is sized from it.
+        if (!plausibleBlockHeader(bh, rh.block_capacity) ||
+            bh.first_record != next_first ||
+            bh.record_count > rh.record_count - next_first) {
             throw std::runtime_error(
                 "trace::read: corrupt block header (block " +
                 std::to_string(b) + " of " + std::to_string(rh.block_count) +
@@ -213,6 +197,9 @@ readBlocksStrict(Reader& in, TraceData& trace)
                 std::to_string(in.consumed() - sizeof(bh)) +
                 "); --salvage recovers the decodable blocks");
         }
+        const std::uint64_t body_len =
+            std::uint64_t{bh.seed_count} * sizeof(BlockSeed) +
+            bh.payload_size;
         const std::uint8_t* bp =
             in.tryView(static_cast<std::size_t>(body_len));
         if (bp == nullptr) {
@@ -479,102 +466,6 @@ readSalvageImpl(Reader& in, ReadReport& rep)
 }
 
 } // namespace
-
-namespace {
-
-/** Absolute offset of the first record for @p trace as written. */
-std::uint64_t
-recordRegionOffsetFor(const TraceData& trace)
-{
-    std::uint64_t off = sizeof(Header);
-    for (const std::string& name : trace.spe_programs)
-        off += sizeof(std::uint32_t) + name.size();
-    return off;
-}
-
-} // namespace
-
-void
-write(std::ostream& os, const TraceData& trace, const WriteOptions& opt)
-{
-    const Header hdr = headerFor(trace, opt);
-    os.write(reinterpret_cast<const char*>(&hdr), sizeof(hdr));
-    for (const std::string& name : trace.spe_programs) {
-        const auto len = static_cast<std::uint32_t>(name.size());
-        os.write(reinterpret_cast<const char*>(&len), sizeof(len));
-        os.write(name.data(), static_cast<std::streamsize>(name.size()));
-    }
-    if (opt.compress) {
-        const std::vector<std::uint8_t> region = encodeBlockRegion(
-            trace, hdr, recordRegionOffsetFor(trace), opt.block_records,
-            opt.legacy_payload);
-        os.write(reinterpret_cast<const char*>(region.data()),
-                 static_cast<std::streamsize>(region.size()));
-    } else if (!trace.records.empty()) {
-        os.write(reinterpret_cast<const char*>(trace.records.data()),
-                 static_cast<std::streamsize>(
-                     trace.records.size() * sizeof(Record)));
-    }
-    if (opt.index_stride > 0) {
-        const TraceIndex idx = buildIndex(
-            trace, hdr, recordRegionOffsetFor(trace), opt.index_stride);
-        const std::vector<std::uint8_t> bytes = serializeIndex(idx);
-        os.write(reinterpret_cast<const char*>(bytes.data()),
-                 static_cast<std::streamsize>(bytes.size()));
-    }
-    if (!os)
-        throw std::runtime_error("trace::write: stream failure");
-}
-
-void
-writeFile(const std::string& path, const TraceData& trace,
-          const WriteOptions& opt)
-{
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    if (!os)
-        throw std::runtime_error("trace::writeFile: cannot open " + path);
-    write(os, trace, opt);
-}
-
-std::vector<std::uint8_t>
-writeBuffer(const TraceData& trace, const WriteOptions& opt)
-{
-    const Header hdr = headerFor(trace, opt);
-    std::size_t total = sizeof(hdr);
-    for (const std::string& name : trace.spe_programs)
-        total += sizeof(std::uint32_t) + name.size();
-    if (!opt.compress)
-        total += trace.records.size() * sizeof(Record);
-
-    std::vector<std::uint8_t> out(total);
-    std::uint8_t* p = out.data();
-    auto append = [&p](const void* src, std::size_t n) {
-        std::memcpy(p, src, n);
-        p += n;
-    };
-    append(&hdr, sizeof(hdr));
-    for (const std::string& name : trace.spe_programs) {
-        const auto len = static_cast<std::uint32_t>(name.size());
-        append(&len, sizeof(len));
-        if (!name.empty())
-            append(name.data(), name.size());
-    }
-    if (opt.compress) {
-        const std::vector<std::uint8_t> region = encodeBlockRegion(
-            trace, hdr, recordRegionOffsetFor(trace), opt.block_records,
-            opt.legacy_payload);
-        out.insert(out.end(), region.begin(), region.end());
-    } else if (!trace.records.empty()) {
-        append(trace.records.data(), trace.records.size() * sizeof(Record));
-    }
-    if (opt.index_stride > 0) {
-        const TraceIndex idx = buildIndex(
-            trace, hdr, recordRegionOffsetFor(trace), opt.index_stride);
-        const std::vector<std::uint8_t> bytes = serializeIndex(idx);
-        out.insert(out.end(), bytes.begin(), bytes.end());
-    }
-    return out;
-}
 
 std::string
 ReadReport::summary() const

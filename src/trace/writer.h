@@ -1,6 +1,7 @@
 /**
  * @file
- * Trace serialization.
+ * Trace serialization. write, writeFile and writeBuffer share one
+ * serializer (trace/writer.cc), so the three give the same bytes.
  */
 
 #ifndef CELL_TRACE_WRITER_H
@@ -8,6 +9,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "trace/format.h"
 
@@ -50,6 +52,16 @@ struct WriteOptions
      * columnar one is just faster to decode. Ignored unless compress.
      */
     bool legacy_payload = false;
+
+    /**
+     * Threads that encode v3 blocks; 0 (the default) means hardware
+     * concurrency. One serial pass replays the records for the block
+     * seeds and the footer index, then every block encodes on its own
+     * on a util::WorkerPool of at most one thread per block, so a
+     * region of one block starts no pool. The bytes written are the
+     * same at every thread count.
+     */
+    unsigned threads = 0;
 };
 
 /** Serialize @p trace to a binary stream. @throws std::runtime_error. */

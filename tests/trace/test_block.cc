@@ -235,6 +235,40 @@ TEST(Block, StrictThrowsOnCorruptBlock)
     }
 }
 
+TEST(Block, StrictReadRejectsHugeSeedCountBeforeSizingTheBody)
+{
+    // A block header whose seed count claims ~96 GiB of seeds: the
+    // serial strict reader sizes its scratch body from the header, so
+    // it must reject the header first, naming the block, on both the
+    // buffer path and the stream path (which has no zero-copy view).
+    const TraceData t = sampleTrace();
+    auto v3 = writeBuffer(t, {.compress = true, .block_records = 256});
+    BlockRegionHeader rh;
+    std::vector<BlockDirEntry> dir;
+    parseRegion(v3, regionOffsetOf(t), rh, dir);
+    BlockHeader bh;
+    std::memcpy(&bh, v3.data() + dir[1].offset, sizeof(bh));
+    bh.seed_count = 0x80000000u;
+    std::memcpy(v3.data() + dir[1].offset, &bh, sizeof(bh));
+
+    const std::string want = "block 1 of " + std::to_string(dir.size());
+    try {
+        readBuffer(v3);
+        FAIL() << "strict read accepted a block with 2^31 seeds";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << e.what();
+    }
+    std::istringstream is(std::string(v3.begin(), v3.end()));
+    try {
+        read(is);
+        FAIL() << "strict stream read accepted a block with 2^31 seeds";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Block, SalvageOfIntactFileMatchesStrict)
 {
     const TraceData t = sampleTrace();

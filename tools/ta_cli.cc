@@ -39,11 +39,13 @@
  * (exit 1). `ta --salvage <command> <trace.pdt>` analyzes whatever a
  * salvage read recovers, reporting what was skipped on stderr.
  *
- * `--threads N` selects the analysis thread count (default: hardware
- * concurrency). The parallel path shards the file on the record
+ * `--threads N` is the command's thread budget (default: hardware
+ * concurrency). The parallel analysis shards the file on the record
  * stride, ingests and analyzes the shards concurrently, and produces
  * byte-identical output to the serial analyzer; `--threads 1` forces
- * the serial path.
+ * the serial path. `convert` and `surgery` encode the v3 blocks they
+ * write on the same budget; the bytes written are the same at any
+ * count.
  */
 
 #include <cctype>
@@ -135,8 +137,10 @@ usage()
            "          downgrade to salvage with a note; --deadline-ms N\n"
            "          bounds each pair; output is input-ordered and\n"
            "          byte-identical at any thread count\n"
-           "--threads N: analysis threads (default: hardware concurrency;\n"
-           "             1 forces the serial path; output is identical)\n"
+           "--threads N: thread budget (default: hardware concurrency;\n"
+           "             1 forces the serial path): analysis, and the v3\n"
+           "             block encode of convert and surgery writes;\n"
+           "             output and written bytes are identical at any N\n"
            "--full-scan: ignore any v2 footer index\n";
     return 2;
 }
@@ -566,6 +570,7 @@ runSurgery(const cell::cli::Flags& f)
     trace::WriteOptions wopt;
     wopt.index_stride = static_cast<std::size_t>(f.index_stride);
     wopt.compress = f.compress;
+    wopt.threads = f.threads;
     const auto loadTrace = [&f](const std::string& p) {
         if (!f.salvage)
             return trace::readFile(p);
@@ -774,6 +779,7 @@ main(int argc, char** argv)
             const trace::TraceData data = trace::readFile(path);
             trace::WriteOptions wopt;
             wopt.compress = f.compress;
+            wopt.threads = f.threads;
             // Carry a valid footer index over at its original stride;
             // a damaged or absent one is simply not rewritten.
             const trace::IndexReadResult ir = trace::readIndexFile(path);
